@@ -382,10 +382,6 @@ class IsobaricRep:
         return make_isobaric([(c * chi.retag(self.field), m)
                               for c, m in self.components], self.t, self.field)
 
-    def component_multiset(self):
-        """Representative keys with multiplicities (serialization order)."""
-        return tuple(sorted((chi.key(), m) for chi, m in self.components))
-
     def __eq__(self, other):
         # normalized reps have pairwise non-equal components, so matching
         # each component to a norm-equal partner of equal multiplicity is

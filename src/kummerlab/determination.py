@@ -537,9 +537,6 @@ class AgreementHypothesis:
                 return r.q
         return None
 
-    def rows_for(self, degree: int) -> tuple[AgreementRow, ...]:
-        return tuple(r for r in self.rows if r.degree == degree)
-
     def complete_for(self, degrees) -> bool:
         present = {r.degree for r in self.rows}
         return all(d in present for d in degrees)

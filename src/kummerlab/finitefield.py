@@ -9,11 +9,13 @@ from scratch, so the same (q, d) always yields bit-identical moduli.
 Elements are coefficient vectors (c_0, ..., c_{d-1}).  The canonical order on
 elements compares the integer key sum(c_i * q^i), which is the same as
 comparing (c_{d-1}, ..., c_0) lexicographically.  "Least root", "least
-generator" and sorted root lists all refer to this order.
+non-p-th-power" and sorted root lists all refer to this order.
 
-Exponents are arbitrary-precision throughout; p-th root extraction uses
-exhaustion for field size <= 2^20 and a deterministic Adleman-Manders-Miller
-otherwise, seeded by the least non-p-th-power.
+Exponents are arbitrary-precision throughout.  Irreducibility is Ben-Or's
+test, which stops at the first factor degree it finds.  p-th roots come from
+one deterministic Adleman-Manders-Miller extractor, seeded here by the least
+non-p-th-power and generic enough to serve the relative fields of
+``kummerlab.splitting``.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import sympy
-
-EXHAUSTION_BOUND = 2 ** 20
 
 
 def _poly_trim(a):
@@ -88,21 +88,16 @@ def _poly_sub(a, b, q):
 
 
 def _is_irreducible(f, q):
-    """Monic f over F_q: Rabin's test via Frobenius iterates."""
-    d = len(f) - 1
-    if d == 1:
-        return True
+    """Monic f over F_q: Ben-Or's test.
+
+    f is reducible iff it has an irreducible factor of some degree i <= d/2,
+    i.e. iff gcd(f, t^(q^i) - t) != 1; the scan stops at the least such i.
+    """
     x = [0, 1]
-    frob = [x]
     h = x
-    for _ in range(d):
+    for _ in range((len(f) - 1) // 2):
         h = _poly_powmod(h, q, f, q)
-        frob.append(h)
-    if frob[d] != x:
-        return False
-    for e in sympy.primefactors(d):
-        g = _poly_sub(frob[d // e], x, q)
-        if len(_poly_gcd(f, g, q)) != 1:
+        if len(_poly_gcd(f, _poly_sub(h, x, q), q)) != 1:
             return False
     return True
 
@@ -188,16 +183,6 @@ class ExtField:
             else:
                 raise ValueError(f"every element of F_{self.size} is a {p}-th power")
         return self._nonres[p]
-
-    def least_generator(self) -> "FFElement":
-        """Least multiplicative generator in canonical order."""
-        fact = self.group_order_factor()
-        n_ = self.size - 1
-        for n in range(1, self.size):
-            x = self.from_index(n)
-            if all(x ** (n_ // ell) != self.one() for ell in fact):
-                return x
-        raise AssertionError("no generator found")
 
     def __eq__(self, other):
         return (isinstance(other, ExtField)
@@ -329,23 +314,32 @@ def mult_order(x: FFElement) -> int:
     return e
 
 
-def order_p_valuation(x: FFElement, p: int) -> int:
-    """v_p(mult_order(x)) without factoring the group order."""
+def sylow_valuation(n: int, p: int) -> int:
+    """v_p(n): the p-Sylow subgroup of a cyclic group of order n has p^s elements."""
+    s = 0
+    while n % p == 0:
+        n //= p
+        s += 1
+    return s
+
+
+def order_p_valuation(x, p: int) -> int:
+    """v_p of the multiplicative order of x, without factoring the group order.
+
+    Generic: x needs ``is_zero()``, ``field.size``, ``field.one()`` and ``**``.
+    """
     if x.is_zero():
         raise ValueError("zero input")
-    n_ = x.field.size - 1
-    s = 0
-    while n_ % p == 0:
-        n_ //= p
-        s += 1
-    z = x ** n_
-    v = 0
+    n = x.field.size - 1
+    s = sylow_valuation(n, p)
+    z = x ** (n // p ** s)
     one = x.field.one()
+    v = 0
     while z != one:
         z = z ** p
         v += 1
-    if v > s:
-        raise AssertionError("order valuation exceeded Sylow size")
+        if v > s:
+            raise AssertionError("order valuation exceeded Sylow size")
     return v
 
 
@@ -359,60 +353,40 @@ def pth_roots(x: FFElement, p: int) -> list[FFElement]:
         return [x ** pow(p, -1, n_)]
     if not is_pth_power(x, p):
         return []
-    if field.size <= EXHAUSTION_BOUND:
-        roots = [y for y in field.elements() if y ** p == x]
-    else:
-        roots = _amm_roots(x, p, field.least_nonresidue(p))
-    return sorted(roots, key=lambda r: r.key())
+    return amm_pth_roots(x, p, field.least_nonresidue(p))
 
 
-def _amm_roots(x, p, z):
-    """Adleman-Manders-Miller: x a known p-th power, z a non-p-th-power."""
-    field = x.field
-    n_ = field.size - 1
-    s, m = 0, n_
-    while m % p == 0:
-        m //= p
-        s += 1
+def amm_pth_roots(x, p: int, z) -> list:
+    """Adleman-Manders-Miller: the p roots of x, sorted by ``key()``.
+
+    x is a nonzero p-th power in a field whose unit group has order divisible
+    by p, and z is any non-p-th power there; the root set does not depend on
+    z.  Generic: elements need ``field.size``, ``field.one()``, ``**``, ``*``
+    and ``key()``.
+    """
+    n = x.field.size - 1
+    s = sylow_valuation(n, p)
+    m = n // p ** s
     g = z ** m                     # generates the p-Sylow subgroup
     zeta = g ** (p ** (s - 1))     # order p
     # digits of dlog_g(x^m) base p
     zeta_pows = {}
-    w_ = field.one()
+    w = x.field.one()
     for j in range(p):
-        zeta_pows[w_.coeffs] = j
-        w_ = w_ * zeta
+        zeta_pows[w.key()] = j
+        w = w * zeta
     k = 0
     xm = x ** m
     for i in range(s):
-        probe = (xm * g ** (-k % n_)) ** (p ** (s - 1 - i))
-        d_i = zeta_pows[probe.coeffs]
-        k += d_i * p ** i
+        probe = (xm * g ** (-k % n)) ** (p ** (s - 1 - i))
+        k += zeta_pows[probe.key()] * p ** i
     if k % p != 0:
         raise AssertionError("dlog not divisible by p for a p-th power")
     u = pow(p, -1, m) if m > 1 else 0
-    w = (p * u - 1) // m
-    y0 = (x ** u) * g ** ((-(k // p) * w) % n_)
-    roots, y = [], y0
+    v = (p * u - 1) // m
+    y = (x ** u) * g ** ((-(k // p) * v) % n)
+    roots = []
     for _ in range(p):
         roots.append(y)
         y = y * zeta
-    return roots
-
-
-def find_roots_by_exhaustion(coeffs, field) -> list[FFElement]:
-    """Roots in `field` of the integer polynomial sum(coeffs[i] X^i), sorted.
-
-    Exhaustive; the caller guards field size (embedding uses <= 2^20).
-    """
-    if field.size > EXHAUSTION_BOUND:
-        raise ValueError("field too large for exhaustive root search")
-    cs = [field.element((c,)) for c in coeffs]
-    roots = []
-    for x in field.elements():
-        acc = field.zero()
-        for c in reversed(cs):
-            acc = acc * x + c
-        if acc.is_zero():
-            roots.append(x)
     return sorted(roots, key=lambda r: r.key())

@@ -29,7 +29,13 @@ from .cyclotomic import (
     PPSubfieldLattice,
     cyclo_primes_above,
 )
-from .finitefield import FFElement, pth_roots
+from .finitefield import (
+    FFElement,
+    amm_pth_roots,
+    order_p_valuation,
+    pth_roots,
+    sylow_valuation,
+)
 from .tower import KummerTower
 
 DEFAULT_NORM_BOUND = 500
@@ -62,7 +68,7 @@ class RelField:
     __slots__ = ("parent", "a", "p", "size", "char")
 
     def __init__(self, parent, a, p):
-        if group_p_valuation(a, p) < _sylow_valuation(parent.size - 1, p):
+        if order_p_valuation(a, p) < sylow_valuation(parent.size - 1, p):
             raise ValueError("adjoined datum is a p-th power already")
         self.parent = parent
         self.a = a
@@ -162,77 +168,31 @@ class RElement:
         return f"RElement({self.key()})"
 
 
-def _sylow_valuation(n: int, p: int) -> int:
-    s = 0
-    while n % p == 0:
-        n //= p
-        s += 1
-    return s
-
-
-def group_p_valuation(x, p: int) -> int:
-    """v_p of the multiplicative order; no factoring of the group order."""
-    if x.is_zero():
-        raise ValueError("zero input")
-    n = x.field.size - 1
-    s = _sylow_valuation(n, p)
-    z = x ** (n // p ** s)
-    one = x.field.one()
-    v = 0
-    while z != one:
-        z = z ** p
-        v += 1
-        if v > s:
-            raise AssertionError("order valuation exceeded Sylow size")
-    return v
-
-
 def element_pth_roots(x, p: int) -> list:
-    """All p-th roots in x's own field; FFElement or RElement alike."""
+    """All p-th roots in x's own field, sorted by ``key()``.
+
+    FFElements go through ``finitefield.pth_roots``; RElements through the
+    same ``amm_pth_roots``, seeded by the first element of full p-valuation
+    found counting up from the generator.
+    """
     if isinstance(x, FFElement):
         return pth_roots(x, p)
     field = x.field
     if x.is_zero():
         return [field.zero()]
     n = field.size - 1
-    s = _sylow_valuation(n, p)
+    s = sylow_valuation(n, p)
     if s == 0:
         return [x ** pow(p, -1, n)]
-    if group_p_valuation(x, p) >= s:
+    if order_p_valuation(x, p) >= s:
         return []
-    m = n // p ** s
-    seed = None
     cand = field.gen()
     one = field.one()
     for _ in range(64):
-        if not cand.is_zero() and group_p_valuation(cand, p) == s:
-            seed = cand
-            break
+        if not cand.is_zero() and order_p_valuation(cand, p) == s:
+            return amm_pth_roots(x, p, cand)
         cand = cand + one
-    if seed is None:
-        raise InconclusiveError("no p-Sylow seed found near the generator")
-    g = seed ** m
-    zeta = g ** (p ** (s - 1))
-    zeta_pows = {}
-    w = one
-    for j in range(p):
-        zeta_pows[w.key()] = j
-        w = w * zeta
-    k = 0
-    xm = x ** m
-    for i in range(s):
-        probe = (xm * g ** (-k % n)) ** (p ** (s - 1 - i))
-        k += zeta_pows[probe.key()] * p ** i
-    if k % p != 0:
-        raise AssertionError("dlog not divisible by p for a p-th power")
-    u = pow(p, -1, m) if m > 1 else 0
-    w_ = (p * u - 1) // m
-    y = (x ** u) * g ** ((-(k // p) * w_) % n)
-    roots = []
-    for _ in range(p):
-        roots.append(y)
-        y = y * zeta
-    return sorted(roots, key=lambda r: r.key())
+    raise InconclusiveError("no p-Sylow seed found near the generator")
 
 
 # ---------------------------------------------------------------------------
@@ -282,13 +242,15 @@ def _step_branch(node: BranchNode, p: int, level: int) -> list[BranchNode]:
     if node.image is None:
         return [BranchNode(node.exp * p, None, node.count, node.tail_from)]
     img = node.image
-    s = _sylow_valuation(img.field.size - 1, p)
+    s = sylow_valuation(img.field.size - 1, p)
     if s == 0:
         raise ValueError("mu_p missing from the residue field; "
                          "wild or malformed step")
-    if group_p_valuation(img, p) < s:
+    if order_p_valuation(img, p) < s:
         roots = element_pth_roots(img, p)
-        assert len(roots) == p
+        if len(roots) != p:
+            raise AssertionError(f"{len(roots)} p-th roots of a split datum, "
+                                 f"expected {p}")
         return [BranchNode(node.exp, rt, node.count) for rt in roots]
     if _rich_enough(img.field.size, p):
         return [BranchNode(node.exp * p, None, node.count, level)]
@@ -316,10 +278,10 @@ def trace_prime(tower: KummerTower, prime: CycloPrime) -> PrimeTrace:
         c = pre.unit_part_image(prime)
         for g in growth:
             c = g.embed(c)
-        s = _sylow_valuation(field.size - 1, p)
+        s = sylow_valuation(field.size - 1, p)
         if s == 0:
             raise ValueError("mu_p missing from the residue field")
-        if group_p_valuation(c, p) < s:
+        if order_p_valuation(c, p) < s:
             count *= p
         else:
             field = RelField(field, c, p)
@@ -341,7 +303,8 @@ def trace_prime(tower: KummerTower, prime: CycloPrime) -> PrimeTrace:
     trace = PrimeTrace(tower, prime, False, tuple(levels))
     for j in range(tower.r + 1):
         total = sum(e * c for e, c in trace.places(j))
-        assert total == prime.f * tower.level_degree(j), "degree sum mismatch"
+        if total != prime.f * tower.level_degree(j):
+            raise AssertionError("degree sum mismatch")
     return trace
 
 
@@ -367,10 +330,10 @@ def classify_prime(step: KummerTower, prime: CycloPrime) -> DegreeClass:
     if step.datum.v_q(q) % p != 0:
         return DegreeClass.RAMIFIED
     img = step.datum.unit_part_image(prime)
-    s = _sylow_valuation(img.field.size - 1, p)
+    s = sylow_valuation(img.field.size - 1, p)
     if s == 0:
         raise ValueError("mu_p missing from the residue field")
-    if group_p_valuation(img, p) < s:
+    if order_p_valuation(img, p) < s:
         return DegreeClass.DEGREE1
     return DegreeClass.DEGREEP
 
@@ -481,8 +444,8 @@ def quartic_tower_exponents(rat: Fraction, r: int, q: int):
         raise ValueError(f"q={q} meets the tower's ramification")
     f4 = 1 if q % 4 == 1 else 2
     d = rat.numerator * pow(rat.denominator, -1, q) % q
-    s = _sylow_valuation(q ** f4 - 1, 2)
-    branches = {(0, _sylow_valuation(int(sympy.n_order(d, q)), 2)): 1}
+    s = sylow_valuation(q ** f4 - 1, 2)
+    branches = {(0, sylow_valuation(int(sympy.n_order(d, q)), 2)): 1}
     for _ in range(r):
         nxt = {}
 
@@ -631,13 +594,13 @@ def _inert_cert_at(tower: KummerTower, P: CycloPrime) -> InertChainCertificate:
     count = 1
     for pre in tower.pre_steps:
         img = pre.unit_part_image(P)
-        s0 = _sylow_valuation(img.field.size - 1, p)
-        if group_p_valuation(img, p) >= s0:
+        s0 = sylow_valuation(img.field.size - 1, p)
+        if order_p_valuation(img, p) >= s0:
             raise ValueError("inert pre-step forces a split higher up")
         count *= p
     a0 = tower.datum.unit_part_image(P)
-    v = group_p_valuation(a0, p)
-    s = _sylow_valuation(a0.field.size - 1, p)
+    v = order_p_valuation(a0, p)
+    s = sylow_valuation(a0.field.size - 1, p)
     if s == 0:
         raise ValueError("mu_p missing from the residue field")
     if v < s:
@@ -770,8 +733,8 @@ def inert_splits_in_top(lattice: PPSubfieldLattice, q: int) -> TopSplitCertifica
     # over F_{Q^p} the group's p-part strictly grows, so the F-datum image
     # (order unchanged under embedding) must become a p-th power
     imgF = lattice.F_datum.unit_part_image(P)
-    vF = group_p_valuation(imgF, p)
-    sF = _sylow_valuation(P.norm - 1, p)
-    s_up = _sylow_valuation(P.norm ** p - 1, p)
+    vF = order_p_valuation(imgF, p)
+    sF = sylow_valuation(P.norm - 1, p)
+    s_up = sylow_valuation(P.norm ** p - 1, p)
     assert vF <= sF < s_up
     return TopSplitCertificate(q, (x, y), DegreeClass.DEGREEP, p, 1)

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sympy
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_gcd, gf_pow_mod, gf_sub
+
 from kummerlab.finitefield import (
-    EXHAUSTION_BOUND,
-    find_roots_by_exhaustion,
     is_pth_power,
     make_ext_field,
     mult_order,
@@ -17,10 +19,57 @@ from kummerlab.finitefield import (
     pth_roots,
 )
 
+# Oracle helpers: exhaustive searches and Rabin's irreducibility test, the
+# slow paths the library replaced, kept here as references.
 
-def _brute_pth_powers(field, p):
-    """Oracle: the set of p-th powers by full enumeration."""
-    return {(y ** p).coeffs for y in field.elements()}
+EXHAUSTION_BOUND = 2 ** 20
+
+
+def find_roots_by_exhaustion(coeffs, field):
+    """Roots in `field` of the integer polynomial sum(coeffs[i] X^i), sorted."""
+    if field.size > EXHAUSTION_BOUND:
+        raise ValueError("field too large for exhaustive root search")
+    cs = [field.element((c,)) for c in coeffs]
+    roots = []
+    for x in field.elements():
+        acc = field.zero()
+        for c in reversed(cs):
+            acc = acc * x + c
+        if acc.is_zero():
+            roots.append(x)
+    return sorted(roots, key=lambda r: r.key())
+
+
+def brute_pth_roots(elements, p):
+    """Oracle: every p-th root of every element, by inverting y -> y^p once."""
+    roots = {}
+    for y in elements:
+        roots.setdefault((y ** p).key(), []).append(y)
+    return {k: sorted(v, key=lambda r: r.key()) for k, v in roots.items()}
+
+
+def rabin_is_irreducible(f, q):
+    """Rabin's test on a monic f over F_q, coefficients highest first."""
+    d = len(f) - 1
+    if d == 1:
+        return True
+    x = [1, 0]
+    frob = [x]
+    for _ in range(d):
+        frob.append(gf_pow_mod(frob[-1], q, f, q, ZZ))
+    if frob[d] != x:
+        return False
+    return all(gf_gcd(f, gf_sub(frob[d // e], x, q, ZZ), q, ZZ) == [1]
+               for e in sympy.primefactors(d))
+
+
+def rabin_least_modulus(q, d):
+    """Least monic irreducible of degree d in (c_{d-1}, ..., c_0) order, low first."""
+    for n in range(q ** d):
+        f = [1] + [(n // q ** i) % q for i in reversed(range(d))]
+        if rabin_is_irreducible(f, q):
+            return tuple(reversed(f))
+    raise AssertionError("no irreducible polynomial found")
 
 
 def test_canonical_moduli_small():
@@ -60,6 +109,14 @@ def test_modulus_irreducible_by_root_check(q, d):
             assert sum(c * x ** i for i, c in enumerate(f)) % q != 0
 
 
+@pytest.mark.parametrize("q", list(sympy.primerange(2, 60)))
+def test_modulus_matches_rabin_reference_search(q):
+    # every q < 60 has q^6 <= 10^12; q = 11, 23, 29, 41 (q = 2, 5 mod 9) at
+    # d = 6 reject every binomial t^6 - a before the first irreducible
+    for d in range(1, 7):
+        assert make_ext_field(q, d).modulus == rabin_least_modulus(q, d), (q, d)
+
+
 def test_is_pth_power_frozen_values():
     F7 = make_ext_field(7, 1)
     assert {x for x in range(1, 7) if is_pth_power(F7.element(x), 3)} == {1, 6}
@@ -94,19 +151,16 @@ def test_mult_order_frozen_values():
 
 
 @pytest.mark.parametrize("q,d,p", [(3, 2, 2), (5, 1, 2), (7, 1, 3), (2, 4, 3),
-                                   (5, 2, 2), (13, 1, 3), (3, 3, 2), (11, 1, 5)])
+                                   (5, 2, 2), (13, 1, 3), (3, 3, 2), (11, 1, 5),
+                                   (3, 4, 2), (5, 6, 2), (5, 6, 3), (7, 3, 3),
+                                   (2, 6, 3)])
 def test_pth_power_criterion_against_brute_force(q, d, p):
     field = make_ext_field(q, d)
-    powers = _brute_pth_powers(field, p)
+    brute = brute_pth_roots(field.elements(), p)
     for x in field.elements():
-        assert is_pth_power(x, p) == (x.coeffs in powers)
+        assert is_pth_power(x, p) == (x.key() in brute)
         roots = pth_roots(x, p)
-        # every claimed root works, and the count law holds
-        for r in roots:
-            assert r ** p == x
-        brute = sorted((y for y in field.elements() if y ** p == x),
-                       key=lambda e: e.key())
-        assert roots == brute
+        assert roots == brute.get(x.key(), [])
         assert len(roots) in (0, 1, p) or x.is_zero()
 
 
@@ -131,13 +185,11 @@ def test_order_divides_group_and_valuation(q, d):
 
 
 def sympy_least_factor(n):
-    import sympy
     return min(sympy.primefactors(n))
 
 
 def test_amm_matches_exhaustion_just_above_bound():
-    # smallest prime above 2^20 forces the AMM path
-    import sympy
+    # smallest prime above the exhaustion oracle's reach
     q = sympy.nextprime(EXHAUSTION_BOUND)
     field = make_ext_field(q, 1)
     for val in (4, 9, 1024, q - 1):
@@ -152,7 +204,6 @@ def test_amm_matches_exhaustion_just_above_bound():
 
 
 def test_amm_odd_p_big_field():
-    import sympy
     q = sympy.nextprime(2 ** 21)
     while q % 3 != 1:
         q = sympy.nextprime(q)

@@ -1,5 +1,9 @@
 """Trace engine: classification, inert chains, lattices, densities."""
 
+import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,6 +12,7 @@ import sympy
 from kummerlab.cyclotomic import CycloField, Datum, cyclo_primes_above, pp_lattice
 from kummerlab.splitting import (
     DegreeClass,
+    RElement,
     RelField,
     classify_prime,
     classify_rational,
@@ -15,7 +20,6 @@ from kummerlab.splitting import (
     degree1_density,
     element_pth_roots,
     fold_degree_multisets,
-    group_p_valuation,
     inert_chain_certificate,
     inert_prime_subfield,
     inert_splits_in_top,
@@ -25,7 +29,7 @@ from kummerlab.splitting import (
     places_upto,
     trace_prime,
 )
-from kummerlab.finitefield import make_ext_field, mult_order
+from kummerlab.finitefield import make_ext_field, mult_order, order_p_valuation
 from kummerlab.tower import KummerTower
 
 
@@ -46,6 +50,40 @@ def test_trace_split_roots_frozen():
     assert tr.image_keys(1) == (3, 10)       # the two square roots of 9
     assert tr.places(1) == ((1, 2),)
     assert tr.norms(1) == (13, 13)
+
+
+_BREAK_A_TRACE = """
+from kummerlab import splitting
+from kummerlab.cyclotomic import CycloField, Datum, cyclo_primes_above
+try:
+    assert False
+except AssertionError:
+    raise SystemExit("asserts are on")
+step = splitting.kummer_step(4, 2, Datum(CycloField(4).element((1, 1))))
+P = cyclo_primes_above(4, 13)[1]
+roots, exp = splitting.element_pth_roots, splitting._field_exp
+for name, fake in (("element_pth_roots", lambda x, p: roots(x, p)[1:]),
+                   ("_field_exp", lambda f, P: exp(f, P) + 1)):
+    real = getattr(splitting, name)
+    setattr(splitting, name, fake)
+    try:
+        splitting.trace_prime(step, P)
+    except AssertionError as e:
+        print(e)
+    setattr(splitting, name, real)
+"""
+
+
+def test_trace_checks_survive_optimize():
+    # a dropped root and a wrong degree sum still raise under python -O
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-O", "-c", _BREAK_A_TRACE], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["1 p-th roots of a split datum, expected 2",
+                                       "degree sum mismatch"]
 
 
 def test_classify_ramified_and_wild():
@@ -236,6 +274,21 @@ def test_rel_field_roots_round_trip():
     assert (R.gen() ** 2) == R.embed(F5.element(2))
 
 
+@pytest.mark.parametrize("q,a,p", [(5, 2, 2), (7, 3, 3)])
+def test_rel_field_roots_against_brute_force(q, a, p):
+    # F_q[t]/(t^p - a): every element's p-th roots, against y -> y^p inverted
+    F = make_ext_field(q, 1)
+    R = RelField(F, F.element(a), p)
+    elements = [RElement(R, cs) for cs in
+                itertools.product(list(F.elements()), repeat=p)]
+    brute = {}
+    for y in elements:
+        brute.setdefault((y ** p).key(), []).append(y)
+    for x in elements:
+        want = sorted(brute.get(x.key(), []), key=lambda r: r.key())
+        assert element_pth_roots(x, p) == want
+
+
 def test_rel_field_rejects_power():
     F5 = make_ext_field(5, 1)
     with pytest.raises(ValueError):
@@ -302,7 +355,7 @@ def test_group_p_valuation_matches_mult_order():
             while nn % p == 0:
                 nn //= p
                 v += 1
-            assert group_p_valuation(x, p) == v
+            assert order_p_valuation(x, p) == v
 
 
 @pytest.mark.parametrize("tower", [
