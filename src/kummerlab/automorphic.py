@@ -27,9 +27,8 @@ from functools import lru_cache
 
 import sympy
 
-from .cyclotomic import cyclo_primes_above
-from .splitting import (DegreeClass, classify_rational, norm_subgroup,
-                        place_profile, trace_prime)
+from .splitting import (field_bad_primes, norm_subgroup, place_profile,
+                        place_table)
 from .tower import KummerTower
 
 TWIST_SEARCH_BOUND = 10 ** 4
@@ -290,36 +289,17 @@ def character_of_order(N: int, p: int, field=1) -> NormCharacter:
 
 # ---------------------------------------------------------------------------
 # field tags and places
-
-def field_bad_primes(field_desc) -> set[int]:
-    """Rational primes excluded from place enumeration for this field."""
-    if field_desc == 1:
-        return set()
-    if isinstance(field_desc, int):
-        return set(sympy.primefactors(field_desc))
-    t: KummerTower = field_desc
-    bad = {t.p} | (set(sympy.primefactors(t.m)) if t.m > 1 else set())
-    for d in (t.datum, *t.pre_steps):
-        bad |= d.core_support()
-        bad |= set(sympy.primefactors(abs(d.rat.numerator)))
-        bad |= set(sympy.primefactors(d.rat.denominator))
-    return bad
-
+#
+# The places of a field tag come from `splitting.place_table`, one
+# (q, degree, count) table per field; `field_bad_primes` lives there too and
+# is re-exported here.
 
 def place_norms(field_desc, q: int) -> tuple[int, ...]:
     """Norms of the places above the rational prime q, with multiplicity."""
     if q in field_bad_primes(field_desc) or not sympy.isprime(q):
         raise ValueError(f"q = {q} is excluded or not prime")
-    if field_desc == 1:
-        return (q,)
-    if isinstance(field_desc, int):
-        f = sympy.n_order(q, field_desc)
-        return (q ** f,) * (int(sympy.totient(field_desc)) // f)
-    t: KummerTower = field_desc
-    out = []
-    for f, count in place_profile(t, q):
-        out.extend([q ** f] * count)
-    return tuple(out)
+    return tuple(q ** f for f, count in place_profile(field_desc, q)
+                 for _ in range(count))
 
 
 def place_norm(v) -> int:
@@ -489,16 +469,6 @@ def satake(pi: IsobaricRep, v) -> SatakeClass:
 # ---------------------------------------------------------------------------
 # base change
 
-def _is_power_of(Nw: int, Nv: int) -> int:
-    """The integer f with Nv^f = Nw, or 0."""
-    f = 0
-    x = 1
-    while x < Nw:
-        x *= Nv
-        f += 1
-    return f if x == Nw else 0
-
-
 def base_change(pi: IsobaricRep, M, verify_upto: int = 100) -> IsobaricRep:
     """pi over M: same norm-composed characters, re-normalized over M.
 
@@ -515,24 +485,22 @@ def base_change(pi: IsobaricRep, M, verify_upto: int = 100) -> IsobaricRep:
     if not supported and F != M:
         raise ValueError("unsupported extension description")
     out = make_isobaric([(chi, m) for chi, m in pi.components], pi.t, M)
-    bad = field_bad_primes(M) | field_bad_primes(F) | {
+    bad = field_bad_primes(F) | {
         ell for chi, _ in pi.components for ell in
         sympy.primefactors(chi.modulus)}
-    for q in sympy.primerange(2, verify_upto + 1):
+    below: dict[int, list[int]] = {}
+    for q, f, _ in place_table(F, verify_upto):
+        below.setdefault(q, []).append(f)
+    for q, fw, _ in place_table(M, verify_upto):
         if q in bad:
             continue
-        below = place_norms(F, q)
-        for Nw in place_norms(M, q):
-            ok = False
-            for Nv in below:
-                f = _is_power_of(Nw, Nv)
-                if f and satake(pi, Nv).power(f).eigenvalues == \
-                        satake(out, Nw).eigenvalues:
-                    ok = True
-                    break
-            if not ok:
-                raise AssertionError(
-                    f"base change incoherent above q = {q}: {Nw} vs {below}")
+        Nw = q ** fw
+        if not any(fw % fv == 0 and
+                   satake(pi, q ** fv).power(fw // fv).eigenvalues ==
+                   satake(out, Nw).eigenvalues for fv in below[q]):
+            raise AssertionError(
+                f"base change incoherent above q = {q}: {Nw} vs "
+                f"{tuple(q ** fv for fv in below[q])}")
     return out
 
 

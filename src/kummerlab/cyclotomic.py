@@ -15,6 +15,7 @@ part exactly (the cyclotomic core is checked to be a q-unit via its norm).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -101,7 +102,7 @@ class _CycloField:
 
     def galois(self, x: "CycloElement", a: int) -> "CycloElement":
         """sigma_a: zeta -> zeta^a for gcd(a, m) = 1."""
-        if sympy.gcd(a, self.m) != 1:
+        if math.gcd(a, self.m) != 1:
             raise ValueError(f"{a} not a unit mod {self.m}")
         vec = [Fraction(0)] * self.degree
         for j, c in enumerate(x.coeffs):
@@ -112,7 +113,7 @@ class _CycloField:
         return CycloElement(self, tuple(vec))
 
     def units(self):
-        return [a for a in range(1, self.m + 1) if sympy.gcd(a, self.m) == 1] \
+        return [a for a in range(1, self.m + 1) if math.gcd(a, self.m) == 1] \
             if self.m > 1 else [1]
 
     def __repr__(self):
@@ -249,7 +250,8 @@ def cyclo_primes_above(m: int, q: int) -> tuple["CycloPrime", ...]:
     f = sympy.n_order(q, m)
     field = make_ext_field(q, f)
     n_ = field.size - 1
-    assert n_ % m == 0
+    if n_ % m:
+        raise AssertionError(f"F_{q}^{f} has no primitive {m}-th root of unity")
     # first element (subfield elements last: they are never generators for
     # f > 1) whose (n/m)-th power has exact order m
     root = None
@@ -260,10 +262,11 @@ def cyclo_primes_above(m: int, q: int) -> tuple["CycloPrime", ...]:
         if all(y ** (m // ell) != field.one() for ell in pf):
             root = y
             break
-    assert root is not None
+    if root is None:
+        raise AssertionError(f"no primitive {m}-th root of unity in F_{q}^{f}")
     prim = {}
     for a in range(1, m):
-        if sympy.gcd(a, m) == 1:
+        if math.gcd(a, m) == 1:
             z = root ** a
             prim[z.coeffs] = z
     orbits = []
@@ -280,7 +283,9 @@ def cyclo_primes_above(m: int, q: int) -> tuple["CycloPrime", ...]:
             w = w ** q
         orbits.append(min(orbit, key=lambda e: e.key()))
     orbits.sort(key=lambda e: e.key())
-    assert len(orbits) * f == len(prim)
+    if len(orbits) * f != len(prim):
+        raise AssertionError(f"{len(orbits)} Frobenius orbits of size {f} "
+                             f"cover {len(prim)} roots")
     return tuple(CycloPrime(m, q, f, z) for z in orbits)
 
 

@@ -36,9 +36,7 @@ from .automorphic import (
     character_of_order,
     components_match,
     digest,
-    field_bad_primes,
     make_isobaric,
-    place_norms,
     satake,
     twist_eliminate,
     twist_equivalent,
@@ -52,10 +50,12 @@ from .cyclotomic import (
 )
 from .lseries import PrimeSelector, pole_book, slope_experiment, tail_threshold
 from .splitting import (
+    field_bad_primes,
     inert_chain_certificate,
     inert_prime_subfield,
     inert_splits_in_top,
-    quartic_tower_exponents,
+    place_table,
+    tower_shape,
     trace_prime,
 )
 from .tower import (
@@ -552,40 +552,8 @@ def _field_doc(field_desc) -> str:
     return str(field_desc) if isinstance(field_desc, int) else repr(field_desc)
 
 
-def _place_degree_profile(field_desc, q: int):
-    """Distinct (norm, degree) of places above q, cheaply when possible."""
-    if field_desc == 1:
-        return ((q, 1),)
-    if isinstance(field_desc, int):
-        f = sympy.n_order(q, field_desc)
-        return ((q ** f, f),)
-    t: KummerTower = field_desc
-    one = t.datum.cyc.field.one()
-    if (t.m == 1 and t.r == 1 and not t.pre_steps and not t.base_is_step
-            and t.p == 2 and t.datum.cyc == one):
-        D = _squarefree_kernel(t.datum.rat)
-        inert = (D % 8 == 5) if q == 2 else \
-            (D % q != 0 and _legendre(D, q) == -1)
-        f = 2 if inert else 1
-        return ((q ** f, f),)
-    if (t.base_is_step and t.m == t.p ** 2 and t.datum.rat == 1
-            and t.datum.cyc == t.datum.cyc.field.zeta()):
-        # pure root-of-unity chain: the top level is cyclotomic
-        f = sympy.n_order(q, t.p ** (t.r + 3))
-        return ((q ** f, f),)
-    if (t.p == 2 and t.m == 4 and not t.pre_steps and not t.base_is_step
-            and t.datum.cyc == one):
-        return tuple((q ** f, f) for f, _ in
-                     quartic_tower_exponents(t.datum.rat, t.r, q))
-    out = {}
-    for Nv in place_norms(field_desc, q):
-        out[Nv] = _ilog(Nv, q)
-    return tuple(sorted(out.items()))
-
-
 def check_agreement(pi: IsobaricRep, pi2: IsobaricRep, X: int,
-                    degrees=(1,), exclude=(),
-                    stop_on_disagreement: bool = False) -> AgreementHypothesis:
+                    degrees=(1,), exclude=()) -> AgreementHypothesis:
     """Compare Satake classes at every place of degree in `degrees` up to X.
 
     Ramified places (for either side's components, or for the field
@@ -604,25 +572,16 @@ def check_agreement(pi: IsobaricRep, pi2: IsobaricRep, X: int,
     for rep in (pi, pi2):
         for chi, _ in rep.components:
             ram.update(sympy.primefactors(chi.modulus))
-    rows = []
-    exceptions = []
-    for q in sympy.primerange(2, X + 1):
-        if q in bad:
-            exceptions.append((q, "field"))
-            continue
-        if q in ram:
-            exceptions.append((q, "ramified"))
-            continue
-        for Nv, f in _place_degree_profile(field, q):
-            if f not in degrees or Nv > X:
-                continue
-            agree = satake(pi, Nv) == satake(pi2, Nv)
-            rows.append(AgreementRow(q, Nv, f, agree))
-            if not agree and stop_on_disagreement:
-                return AgreementHypothesis(_field_doc(field), X, degrees,
-                                           tuple(rows), tuple(exceptions))
-    return AgreementHypothesis(_field_doc(field), X, degrees, tuple(rows),
-                               tuple(exceptions))
+    exceptions = tuple((q, "field" if q in bad else "ramified")
+                       for q in sympy.primerange(2, X + 1)
+                       if q in bad or q in ram)
+    rows = tuple(AgreementRow(q, q ** f, f,
+                              satake(pi, q ** f) == satake(pi2, q ** f))
+                 for q, f, _ in place_table(field, X)
+                 if f in degrees and q ** f <= X
+                 and q not in bad and q not in ram)
+    return AgreementHypothesis(_field_doc(field), X, degrees, rows,
+                               exceptions)
 
 
 # ---------------------------------------------------------------------------
@@ -648,12 +607,10 @@ def _realizable_degrees(field_desc) -> set[int] | None:
         return {int(sympy.n_order(a, m)) for a in range(1, m)
                 if math.gcd(a, m) == 1}
     t: KummerTower = field_desc
-    one = t.datum.cyc.field.one()
-    if (t.m == 1 and t.r == 1 and not t.pre_steps and not t.base_is_step
-            and t.p == 2 and t.datum.cyc == one):
+    shape = tower_shape(t)
+    if shape == "quadratic":
         return {1, 2}
-    if (t.base_is_step and t.m == t.p ** 2 and t.datum.rat == 1
-            and t.datum.cyc == t.datum.cyc.field.zeta()):
+    if shape == "zeta-chain":
         return _realizable_degrees(t.p ** (t.r + 3))
     return None
 

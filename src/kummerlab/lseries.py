@@ -22,10 +22,9 @@ from fractions import Fraction
 
 import sympy
 
-from .automorphic import IsobaricRep, field_bad_primes
-from .cyclotomic import CycloField, cyclo_primes_above
-from .splitting import trace_prime
-from .tower import KummerTower
+from .automorphic import IsobaricRep
+from .cyclotomic import CycloField
+from .splitting import place_table
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -73,8 +72,9 @@ def to_complex(elem) -> complex:
 class PrimeSelector:
     """Finite, reproducible set of unramified places with Nv <= cutoff.
 
-    Degrees are residue degrees over the rationals; the exception list
-    removes whole rational primes on top of the always-excluded bad set.
+    Places are the rows of the field's `splitting.place_table` cut at the
+    cutoff.  Degrees are residue degrees over the rationals; the exception
+    list removes whole rational primes on top of the always-excluded bad set.
     """
 
     field_desc: object = 1
@@ -90,31 +90,13 @@ class PrimeSelector:
 
     def places(self) -> list:
         """(Nv, q, f) sorted by (Nv, q); one entry per place."""
-        skip = field_bad_primes(self.field_desc) | set(self.exclude)
         out = []
-        fd = self.field_desc
-        for q in sympy.primerange(2, self.cutoff + 1):
-            if q in skip:
+        for q, f, count in place_table(self.field_desc, self.cutoff):
+            Nv = q ** f
+            if (Nv > self.cutoff or q in self.exclude
+                    or (self.degrees is not None and f not in self.degrees)):
                 continue
-            if fd == 1:
-                norms = [q]
-            elif isinstance(fd, int):
-                f = sympy.n_order(q, fd)
-                if q ** f > self.cutoff:
-                    continue
-                norms = [q ** f] * (int(sympy.totient(fd)) // f)
-            else:
-                t: KummerTower = fd
-                norms = []
-                for P in cyclo_primes_above(t.m, q):
-                    norms.extend(n for n in trace_prime(t, P).norms(t.r))
-            for Nv in norms:
-                if Nv > self.cutoff:
-                    continue
-                f = round(math.log(Nv, q))
-                if self.degrees is not None and f not in self.degrees:
-                    continue
-                out.append((Nv, q, f))
+            out.extend([(Nv, q, f)] * count)
         out.sort()
         return out
 

@@ -415,19 +415,6 @@ def degree1_density(step: KummerTower, X: int) -> DensityReport:
     return DensityReport(deg1, total)
 
 
-def places_upto(m: int, X: int):
-    """Unramified places of Q(zeta_m) with norm <= X as (q, f, count)."""
-    out = []
-    phi = int(sympy.totient(m))
-    for q in sympy.primerange(2, X + 1):
-        if m > 1 and m % q == 0:
-            continue
-        f = sympy.n_order(q, m) if m > 1 else 1
-        if q ** f <= X:
-            out.append((q, f, phi // f))
-    return out
-
-
 def quartic_tower_exponents(rat: Fraction, r: int, q: int):
     """Residue degrees over Q at level r of the tower Q(i, rat^(1/2^r)).
 
@@ -468,88 +455,121 @@ def quartic_tower_exponents(rat: Fraction, r: int, q: int):
     return tuple(sorted(out.items()))
 
 
-def place_profile(tower: KummerTower, q: int):
+# ---------------------------------------------------------------------------
+# places of a field
+
+def field_bad_primes(field_desc) -> set[int]:
+    """Rational primes excluded from place enumeration for this field."""
+    if field_desc == 1:
+        return set()
+    if isinstance(field_desc, int):
+        return set(sympy.primefactors(field_desc))
+    t: KummerTower = field_desc
+    bad = {t.p} | (set(sympy.primefactors(t.m)) if t.m > 1 else set())
+    for d in (t.datum, *t.pre_steps):
+        bad |= d.core_support()
+        bad |= set(sympy.primefactors(abs(d.rat.numerator)))
+        bad |= set(sympy.primefactors(d.rat.denominator))
+    return bad
+
+
+def tower_shape(t: KummerTower) -> str | None:
+    """The closed form of the tower's top level, or None for the trace.
+
+    "quadratic": Q(sqrt d) for a rational d.  "zeta-chain": the chain of
+    roots of zeta_{p^2} over Q(zeta_{p^2}), whose top is Q(zeta_{p^(r+3)}).
+    "quartic": the 2-power chain of a rational datum over Q(i).
+    """
+    if t.pre_steps:
+        return None
+    d = t.datum
+    if t.base_is_step:
+        zeta = t.m == t.p ** 2 and d.rat == 1 and d.cyc == d.cyc.field.zeta()
+        return "zeta-chain" if zeta else None
+    if t.p != 2 or d.cyc != d.cyc.field.one():
+        return None
+    if t.m == 1 and t.r == 1:
+        return "quadratic"
+    return "quartic" if t.m == 4 else None
+
+
+def _cyclotomic_profiler(m: int):
+    if m == 1:
+        return lambda q: ((1, 1),)
+    phi = int(sympy.totient(m))
+
+    def profile(q):
+        f = int(sympy.n_order(q, m))
+        return ((f, phi // f),)
+    return profile
+
+
+def _profiler(field_desc):
+    """q -> sorted (degree, count) pairs above q, for one field.
+
+    The shape and its constants are worked out here once, so that a table
+    pays only the per-prime step: an order, an Euler criterion, the integer
+    quartic bookkeeping, or the residue trace of every base prime.
+    """
+    if isinstance(field_desc, int):
+        return _cyclotomic_profiler(field_desc)
+    t: KummerTower = field_desc
+    shape = tower_shape(t)
+    if shape == "zeta-chain":
+        return _cyclotomic_profiler(t.p ** (t.r + 3))
+    if shape == "quadratic":
+        num = t.datum.rat.numerator * t.datum.rat.denominator
+
+        def profile(q):
+            if q == 2 or num % q == 0:
+                raise ValueError(f"q={q} meets the tower's ramification")
+            inert = pow(num, (q - 1) // 2, q) == q - 1
+            return ((2, 1),) if inert else ((1, 2),)
+    elif shape == "quartic":
+        def profile(q):
+            mult = 2 if q % 4 == 1 else 1
+            return tuple((f, c * mult) for f, c in
+                         quartic_tower_exponents(t.datum.rat, t.r, q))
+    else:
+        def profile(q):
+            agg: dict[int, int] = {}
+            for P in cyclo_primes_above(t.m, q):
+                for e, c in trace_prime(t, P).places(t.r):
+                    agg[e] = agg.get(e, 0) + c
+            return tuple(sorted(agg.items()))
+    return profile
+
+
+def place_profile(field_desc, q: int):
     """All residue degrees over Q above q, as sorted (degree, count) pairs.
 
-    Pure-integer paths where the tower shape allows them -- a bare rational
-    quadratic, a root-of-unity chain (whose top is cyclotomic), a rational
-    quartic tower -- and the level-by-level residue trace otherwise.
+    `field_desc` is 1, a conductor or a tower; q must lie outside
+    `field_bad_primes`.  Closed forms where `tower_shape` names one, the
+    level-by-level residue trace otherwise.
     """
-    one = tower.datum.cyc.field.one()
-    rational = tower.datum.cyc == one and not tower.pre_steps
-    if (rational and tower.m == 1 and tower.r == 1 and tower.p == 2
-            and not tower.base_is_step and q != 2):
-        num = tower.datum.rat.numerator * tower.datum.rat.denominator
-        if num % q == 0:
-            raise ValueError(f"q={q} meets the tower's ramification")
-        return ((2, 1),) if sympy.jacobi_symbol(num, q) == -1 else ((1, 2),)
-    if (tower.base_is_step and tower.m == tower.p ** 2
-            and tower.datum.rat == 1 and q != tower.p
-            and tower.datum.cyc == tower.datum.cyc.field.zeta()):
-        modulus = tower.p ** (tower.r + 3)
-        f = int(sympy.n_order(q, modulus))
-        return ((f, int(sympy.totient(modulus)) // f),)
-    if rational and tower.m == 4 and tower.p == 2 and not tower.base_is_step:
-        mult = 2 if q % 4 == 1 else 1
-        return tuple((f, c * mult) for f, c in
-                     quartic_tower_exponents(tower.datum.rat, tower.r, q))
-    agg: dict[int, int] = {}
-    for P in cyclo_primes_above(tower.m, q):
-        for e, c in trace_prime(tower, P).places(tower.r):
-            agg[e] = agg.get(e, 0) + c
-    return tuple(sorted(agg.items()))
+    return _profiler(field_desc)(q)
+
+
+def place_table(field_desc, X: int) -> tuple[tuple[int, int, int], ...]:
+    """(q, degree, count) rows for every prime q <= X off the bad primes.
+
+    Rows run by q, then degree; count is the number of places of that
+    residue degree over Q above q.  Norms q^degree are not cut at X.
+    """
+    bad = field_bad_primes(field_desc)
+    profile = _profiler(field_desc)
+    return tuple((q, f, c) for q in sympy.primerange(2, X + 1)
+                 if q not in bad for f, c in profile(q))
 
 
 def norm_subgroup(field_desc, N: int, bound: int = DEFAULT_NORM_BOUND) -> frozenset:
     """Subgroup of (Z/N)^* generated by place norms up to `bound`.
 
-    `field_desc` is a conductor (cyclotomic field) or a single-step tower.
-    The cutoff is operational: generators are collected from primes <= bound.
+    `field_desc` is 1, a conductor or a tower.  The cutoff is operational:
+    generators are collected from the place table's primes <= bound.
     """
-    gens = set()
-    if isinstance(field_desc, int):
-        m = field_desc
-        for q in sympy.primerange(2, bound + 1):
-            if N % q == 0 or (m > 1 and m % q == 0):
-                continue
-            f = sympy.n_order(q, m) if m > 1 else 1
-            gens.add(pow(q, f, N))
-    else:
-        step = field_desc
-        one = step.datum.cyc.field.one()
-        zeta_chain = (step.base_is_step and step.m == step.p ** 2
-                      and step.datum.rat == 1
-                      and step.datum.cyc == step.datum.cyc.field.zeta())
-        quartic = (step.p == 2 and step.m == 4 and not step.pre_steps
-                   and not step.base_is_step and step.datum.cyc == one)
-        skip = step.datum.core_support() | {step.p}
-        skip.update(sympy.primefactors(abs(step.datum.rat.numerator)))
-        skip.update(sympy.primefactors(step.datum.rat.denominator))
-        for pre in step.pre_steps:
-            skip |= pre.core_support()
-            skip.update(sympy.primefactors(abs(pre.rat.numerator)))
-            skip.update(sympy.primefactors(pre.rat.denominator))
-        for q in sympy.primerange(2, bound + 1):
-            if N % q == 0 or q in skip or (step.m > 1 and step.m % q == 0):
-                continue
-            if zeta_chain:
-                # every level is cyclotomic: one order computation
-                f = sympy.n_order(q, step.p ** (step.r + 3))
-                gens.add(pow(q, f, N))
-            elif quartic:
-                for f, _ in quartic_tower_exponents(step.datum.rat,
-                                                    step.r, q):
-                    gens.add(pow(q, f, N))
-            elif step.pre_steps or step.base_is_step or step.r != 1:
-                for P in cyclo_primes_above(step.m, q):
-                    for norm in trace_prime(step, P).norms(step.r):
-                        gens.add(norm % N)
-            else:
-                for P, cls in classify_rational(step, q):
-                    if cls is DegreeClass.DEGREE1:
-                        gens.add(pow(q, P.f, N))
-                    elif cls is DegreeClass.DEGREEP:
-                        gens.add(pow(q, P.f * step.p, N))
+    gens = {pow(q, f, N) for q, f, _ in place_table(field_desc, bound)
+            if N % q}
     group = {1 % N}
     frontier = [1 % N]
     while frontier:

@@ -26,7 +26,6 @@ from .cyclotomic import (
     DEFAULT_WITNESS_BOUND,
     CycloPrime,
     Datum,
-    InconclusiveError,
     PowerCertificate,
     require_not_pth_power,
 )

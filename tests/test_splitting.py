@@ -19,6 +19,7 @@ from kummerlab.splitting import (
     compositum_min_norm,
     degree1_density,
     element_pth_roots,
+    field_bad_primes,
     fold_degree_multisets,
     inert_chain_certificate,
     inert_prime_subfield,
@@ -26,7 +27,7 @@ from kummerlab.splitting import (
     kummer_step,
     norm_subgroup,
     place_profile,
-    places_upto,
+    place_table,
     trace_prime,
 )
 from kummerlab.finitefield import make_ext_field, mult_order, order_p_valuation
@@ -53,7 +54,7 @@ def test_trace_split_roots_frozen():
 
 
 _BREAK_A_TRACE = """
-from kummerlab import splitting
+from kummerlab import cyclotomic, splitting
 from kummerlab.cyclotomic import CycloField, Datum, cyclo_primes_above
 try:
     assert False
@@ -71,11 +72,20 @@ for name, fake in (("element_pth_roots", lambda x, p: roots(x, p)[1:]),
     except AssertionError as e:
         print(e)
     setattr(splitting, name, real)
+# a residue field too small to hold the m-th roots of unity
+real = cyclotomic.make_ext_field
+cyclotomic.make_ext_field = lambda q, f: real(q, 1)
+try:
+    cyclo_primes_above(4, 3)
+except AssertionError as e:
+    print(e)
+cyclotomic.make_ext_field = real
 """
 
 
 def test_trace_checks_survive_optimize():
-    # a dropped root and a wrong degree sum still raise under python -O
+    # a dropped root, a wrong degree sum and a residue field without the
+    # m-th roots of unity still raise under python -O
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -83,7 +93,8 @@ def test_trace_checks_survive_optimize():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == ["1 p-th roots of a split datum, expected 2",
-                                       "degree sum mismatch"]
+                                       "degree sum mismatch",
+                                       "F_3^2 has no primitive 4-th root of unity"]
 
 
 def test_classify_ramified_and_wild():
@@ -243,14 +254,14 @@ def test_degree1_density_int_path_matches_object_path():
     assert (rep.degree1, rep.total) == (deg1, total)
 
 
-def test_places_upto_small():
-    places = places_upto(4, 50)
-    assert (2, 1, 1) not in places           # ramified dropped
+def test_place_table_small():
+    places = place_table(4, 50)
+    assert [q for q, _, _ in places] == list(sympy.primerange(3, 50))
     assert (3, 2, 1) in places and (7, 2, 1) in places
     assert (5, 1, 2) in places and (13, 1, 2) in places
-    assert all(q ** f <= 50 for q, f, _ in places)
+    assert (11, 2, 1) in places              # norms are not cut at X
     # norm count agrees with a direct count of zeta_4 places
-    total = sum(c for _, _, c in places)
+    total = sum(c for q, f, c in places if q ** f <= 50)
     assert total == 2 + sum(2 for q in (5, 13, 17, 29, 37, 41))
 
 
@@ -358,7 +369,7 @@ def test_group_p_valuation_matches_mult_order():
             assert order_p_valuation(x, p) == v
 
 
-@pytest.mark.parametrize("tower", [
+@pytest.mark.parametrize("field", [
     KummerTower(1, 2, 1, Datum.of(3)),
     KummerTower(1, 2, 1, Datum.of(-5)),
     KummerTower(4, 2, 2, Datum(CycloField(4).zeta()), base_is_step=True),
@@ -366,17 +377,27 @@ def test_group_p_valuation_matches_mult_order():
     KummerTower(4, 2, 2, Datum.of(3, m=4)),
     KummerTower(4, 2, 2, Datum.of(-2, m=4)),
     KummerTower(4, 2, 1, Datum(CycloField(4).element((1, 1)))),
+    KummerTower(4, 2, 2, Datum.of(3, m=4), pre_steps=(Datum.of(5, m=4),)),
+    1, 4, 9,
 ], ids=["sqrt3", "sqrt-5", "zeta-p2", "zeta-p3", "quartic3", "quartic-2",
-        "gauss"])
-def test_place_profile_matches_trace(tower):
-    """The shortcut paths must agree with the residue trace, counts included."""
-    skip = {tower.p} | tower.datum.core_support()
-    skip |= set(sympy.primefactors(abs(tower.datum.rat.numerator)))
-    for q in sympy.primerange(2, 40):
-        if q in skip or (tower.m > 1 and tower.m % q == 0):
+        "gauss", "pre-step", "Q", "zeta4", "zeta9"])
+def test_place_profile_matches_trace(field):
+    """Closed forms and the place table must agree with the residue trace
+    (with the base primes for a conductor), counts included."""
+    bad = field_bad_primes(field)
+    expected = []
+    for q in sympy.primerange(2, 41):
+        if q in bad:
             continue
         agg = {}
-        for P in cyclo_primes_above(tower.m, q):
-            for e, c in trace_prime(tower, P).places(tower.r):
-                agg[e] = agg.get(e, 0) + c
-        assert place_profile(tower, q) == tuple(sorted(agg.items()))
+        if isinstance(field, int):
+            for P in cyclo_primes_above(field, q):
+                agg[P.f] = agg.get(P.f, 0) + 1
+        else:
+            for P in cyclo_primes_above(field.m, q):
+                for e, c in trace_prime(field, P).places(field.r):
+                    agg[e] = agg.get(e, 0) + c
+        profile = tuple(sorted(agg.items()))
+        assert place_profile(field, q) == profile
+        expected += [(q, f, c) for f, c in profile]
+    assert place_table(field, 40) == tuple(expected)
