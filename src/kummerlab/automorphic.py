@@ -466,6 +466,16 @@ def satake(pi: IsobaricRep, v) -> SatakeClass:
     return SatakeClass(Nv, tuple(sorted(eig)))
 
 
+def ramified_primes(*reps: IsobaricRep) -> set[int]:
+    """Rational primes dividing the modulus of some component of the reps.
+
+    Together with the field's `field_bad_primes` this is the finite set a
+    claim about a pair's places leaves out.
+    """
+    return {ell for rep in reps for chi, _ in rep.components
+            for ell in sympy.primefactors(chi.modulus)}
+
+
 # ---------------------------------------------------------------------------
 # base change
 
@@ -485,9 +495,7 @@ def base_change(pi: IsobaricRep, M, verify_upto: int = 100) -> IsobaricRep:
     if not supported and F != M:
         raise ValueError("unsupported extension description")
     out = make_isobaric([(chi, m) for chi, m in pi.components], pi.t, M)
-    bad = field_bad_primes(F) | {
-        ell for chi, _ in pi.components for ell in
-        sympy.primefactors(chi.modulus)}
+    bad = field_bad_primes(F) | ramified_primes(pi)
     below: dict[int, list[int]] = {}
     for q, f, _ in place_table(F, verify_upto):
         below.setdefault(q, []).append(f)

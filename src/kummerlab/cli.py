@@ -49,7 +49,7 @@ from .lseries import (
     slope_experiment,
     tail_threshold,
 )
-from .determination import build_L, descend_chain, run_pipeline
+from .determination import _jsonable, build_L, descend_chain, run_pipeline
 
 EXIT_OK = 0
 EXIT_HYPOTHESIS = 2
@@ -194,16 +194,6 @@ def _report(kind: str, args, **body) -> dict:
     return {"schema": 1, "kind": kind, "threads": args.thread_count, **body}
 
 
-def _jsonable(x):
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    return x
-
-
 def _emit(payload: dict, args) -> None:
     if args.format == "csv":
         rows = payload.get("rows")
@@ -274,9 +264,9 @@ def _cmd_split_trace(args):
 
 
 def _cmd_split_classify(args):
-    t = _tower_from(args)
+    step = kummer_step(args.m, args.p, parse_alpha(args.alpha, args.m))
     rows = [{"prime_index": i, "base_degree": P.f, "class": cls.value}
-            for i, (P, cls) in enumerate(classify_rational(t, args.q))]
+            for i, (P, cls) in enumerate(classify_rational(step, args.q))]
     payload = _report("classify-report", args, q=args.q, rows=rows)
     return payload, EXIT_OK
 
@@ -506,7 +496,7 @@ def _build_parser() -> _Parser:
     sub.set_defaults(func=_cmd_split_trace)
     sub = split_sub.add_parser("classify", parents=[common],
                                help="degree class of each prime above q")
-    _add_tower_flags(sub)
+    _add_tower_flags(sub, with_r=False)
     sub.add_argument("--q", type=int, required=True)
     sub.set_defaults(func=_cmd_split_classify)
     sub = split_sub.add_parser("density", parents=[common],

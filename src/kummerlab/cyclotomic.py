@@ -403,6 +403,22 @@ class Datum:
         return f"Datum({self.rat} * ({self.cyc!r}))"
 
 
+def bad_primes(m: int, p: int, data) -> set[int]:
+    """Rational primes left out of every claim about the data's p-th roots.
+
+    p, the primes of the conductor m, and for each datum its core support
+    and the primes of its rational part.  Away from this set every datum is
+    a unit and every step k(d^(1/p)) over Q(zeta_m) is unramified; claims
+    about "all but finitely many places" exclude exactly these primes.
+    """
+    bad = {p, *sympy.primefactors(m)}
+    for d in data:
+        bad |= d.core_support()
+        bad.update(sympy.primefactors(abs(d.rat.numerator)))
+        bad.update(sympy.primefactors(d.rat.denominator))
+    return bad
+
+
 def _fraction_is_pth_power(r: Fraction, p: int) -> bool:
     if r == 0:
         return True
@@ -480,12 +496,10 @@ def datum_power_certificate(d: Datum, p: int,
     exact = exact_pth_power_in_rationals(d, p)
     if exact is True:
         return PowerCertificate(d, p, None, None, True)
-    skip = d.core_support() | {p}
-    skip.update(sympy.primefactors(abs(d.rat.numerator)))
-    skip.update(sympy.primefactors(d.rat.denominator))
     m = d.m
+    skip = bad_primes(m, p, (d,))
     for q in sympy.primerange(2, bound + 1):
-        if q in skip or (m > 1 and m % q == 0):
+        if q in skip:
             continue
         rat_mod = (d.rat.numerator * pow(d.rat.denominator, -1, q)) % q
         for prime in cyclo_primes_above(m, q):
@@ -566,6 +580,7 @@ class PPSubfieldLattice:
                           K_datum.rat ** (p - j) * F_datum.rat)
             fields.append(SubfieldTag(i, d, subs[i]))
         self.subfields = tuple(fields)
+        self._bad = frozenset(bad_primes(m, p, (K_datum, F_datum)))
 
     def kummer_exponent(self, d: Datum, prime: CycloPrime) -> int:
         """e with image^{(Q-1)/p} = zbar_p^e; 0 iff a p-th power."""
@@ -593,14 +608,8 @@ class PPSubfieldLattice:
                 self.kummer_exponent(self.F_datum, prime))
 
     def bad_primes(self) -> set[int]:
-        bad = {self.p}
-        if self.m > 1:
-            bad |= set(sympy.primefactors(self.m))
-        for d in (self.K_datum, self.F_datum):
-            bad |= d.core_support()
-            bad |= set(sympy.primefactors(abs(d.rat.numerator)))
-            bad |= set(sympy.primefactors(d.rat.denominator))
-        return bad
+        """The module rule `bad_primes` for both data, as a fresh set."""
+        return set(self._bad)
 
     def all_nonidentity_covered_once(self) -> bool:
         """Every non-identity group element lies in exactly one H_i."""

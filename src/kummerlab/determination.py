@@ -37,6 +37,7 @@ from .automorphic import (
     components_match,
     digest,
     make_isobaric,
+    ramified_primes,
     satake,
     twist_eliminate,
     twist_equivalent,
@@ -45,6 +46,7 @@ from .cyclotomic import (
     CycloField,
     Datum,
     PPSubfieldLattice,
+    bad_primes,
     cyclo_primes_above,
     pp_lattice,
 )
@@ -80,18 +82,6 @@ __all__ = [
     "PipelineStage", "PipelineReport", "run_pipeline",
     "EXIT_CODES",
 ]
-
-
-def _ilog(N: int, q: int) -> int:
-    """Exact f with q^f = N."""
-    f = 0
-    x = 1
-    while x < N:
-        x *= q
-        f += 1
-    if x != N:
-        raise ValueError(f"{N} is not a power of {q}")
-    return f
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +171,8 @@ def hilbert_obstructions(a, b) -> tuple[int, ...]:
     cand.update(sympy.primefactors(abs(_squarefree_kernel(a))))
     cand.update(sympy.primefactors(abs(_squarefree_kernel(b))))
     out = tuple(v for v in sorted(cand) if hilbert_symbol(a, b, v) == -1)
-    assert len(out) % 2 == 0, "product formula violated"
+    if len(out) % 2:
+        raise AssertionError("product formula violated")
     return out
 
 
@@ -425,11 +416,12 @@ class CoverReport:
 def _inert_rational_primes(plan: TowerPlan, X: int) -> list[int]:
     """Rational primes q <= X whose places of k are inert in K.
 
-    2 and the divisors of D ramify somewhere in the construction and stay
-    excluded, matching the unramified-only scope of every claim here.
+    The primes `bad_primes` leaves out of Q(sqrt D) -- 2 and the divisors
+    of D -- ramify somewhere in the construction and stay excluded,
+    matching the unramified-only scope of every claim here.
     """
     if plan.D is not None:
-        skip = {2} | set(sympy.primefactors(abs(plan.D)))
+        skip = bad_primes(1, 2, (Datum.of(plan.D),))
         return [q for q in sympy.primerange(3, X + 1)
                 if q not in skip and _legendre(plan.D, q) == -1]
     if plan.kind == "direct":
@@ -459,8 +451,7 @@ def verify_high_degree_cover(plan: TowerPlan, X: int) -> CoverReport:
         chain = plan.chains[0].tower
         for q in _inert_rational_primes(plan, X):
             P = cyclo_primes_above(chain.m, q)[0]
-            tops = trace_prime(chain, P).norms(chain.r)
-            f_min = min(_ilog(Nv, q) for Nv in tops)
+            f_min = min(e for e, _ in trace_prime(chain, P).places(chain.r))
             ok = f_min >= need
             entries.append(CoverEntry(
                 q, 0, "trace", ok, f_min,
@@ -489,7 +480,7 @@ def verify_high_degree_cover(plan: TowerPlan, X: int) -> CoverReport:
                     entries.append(CoverEntry(q, clf.label, "trace", False,
                                               0, str(e)))
                     continue
-                f_top = _ilog(cert.norms[-1], q)
+                f_top = cert.prime.f * ch.tower.root_exponent(ch.tower.r)
                 entries.append(CoverEntry(
                     q, clf.label, "trace", f_top >= need, f_top,
                     "inert chain certificate"))
@@ -556,10 +547,10 @@ def check_agreement(pi: IsobaricRep, pi2: IsobaricRep, X: int,
                     degrees=(1,), exclude=()) -> AgreementHypothesis:
     """Compare Satake classes at every place of degree in `degrees` up to X.
 
-    Ramified places (for either side's components, or for the field
-    description itself) land in the exception list: agreement statements
-    are about all but finitely many places, and the exceptions name the
-    finite set left out.
+    Ramified places land in the exception list: agreement statements are
+    about all but finitely many places, and the exceptions name the finite
+    set left out -- the field's `field_bad_primes` (plus `exclude`) and the
+    pair's `ramified_primes`, the two exclusion rules every claim shares.
     """
     if pi.field != pi2.field:
         raise ValueError("the pair must live over one field")
@@ -568,10 +559,7 @@ def check_agreement(pi: IsobaricRep, pi2: IsobaricRep, X: int,
         raise ValueError("degrees must be positive")
     field = pi.field
     bad = field_bad_primes(field) | set(exclude)
-    ram = set()
-    for rep in (pi, pi2):
-        for chi, _ in rep.components:
-            ram.update(sympy.primefactors(chi.modulus))
+    ram = ramified_primes(pi, pi2)
     exceptions = tuple((q, "field" if q in bad else "ramified")
                        for q in sympy.primerange(2, X + 1)
                        if q in bad or q in ram)
@@ -671,12 +659,8 @@ def determination_experiment(pi: IsobaricRep, pi2: IsobaricRep,
     slope = None
     consistent = None
     if slope_cutoff is not None:
-        ram = set()
-        for rep in (pi, pi2):
-            for chi, _ in rep.components:
-                ram.update(sympy.primefactors(chi.modulus))
         selector = PrimeSelector(pi.field, slope_cutoff,
-                                 exclude=frozenset(ram))
+                                 exclude=frozenset(ramified_primes(pi, pi2)))
         kwargs = {} if grid is None else {"grid": tuple(grid)}
         slope = slope_experiment(pi, pi2, selector, **kwargs)
         tol = max(0.2 * book.neg_ord, 0.2)
@@ -867,10 +851,7 @@ def final_descent(plan: TowerPlan, pi: IsobaricRep, pi2: IsobaricRep,
             verdict, witness = "INCONCLUSIVE", None
         return FinalDescentReport(plan.kind, verdict, witness, (),
                                   "K holds mu_{p^2}: nothing to transport")
-    ram = set()
-    for rep in (pi, pi2):
-        for chi, _ in rep.components:
-            ram.update(sympy.primefactors(chi.modulus))
+    ram = ramified_primes(pi, pi2)
     rows = []
     sigma_witness = None
     for q in _inert_rational_primes(plan, X):

@@ -20,9 +20,7 @@ import math
 from dataclasses import dataclass, field as dfield
 from fractions import Fraction
 
-import sympy
-
-from .automorphic import IsobaricRep
+from .automorphic import IsobaricRep, ramified_primes
 from .cyclotomic import CycloField
 from .splitting import place_table
 
@@ -165,7 +163,7 @@ def rs_coeffs(pi: IsobaricRep, pi2: IsobaricRep, selector: PrimeSelector,
     _unitary_pair(pi, pi2)
     N = _moduli_lcm(pi, pi2)
     plist = selector.places()
-    ramified = set(sympy.primefactors(N))
+    ramified = ramified_primes(pi, pi2)
     for _Nv, q, _f in plist:
         if q in ramified:
             raise ValueError(f"selector includes q = {q}, ramified "
@@ -268,7 +266,8 @@ def positivity_check(pi: IsobaricRep, pi2: IsobaricRep,
     fl = series.floats()
     min_val = min(fl.values(), default=0.0)
     ok = all(v > -1e-12 for v in fl.values())
-    assert ok, "squared-modulus coefficient evaluated negative"
+    if not ok:
+        raise AssertionError("squared-modulus coefficient evaluated negative")
     return PositivityReport(len(candidates), zeros, min_val, ok)
 
 

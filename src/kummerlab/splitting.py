@@ -27,6 +27,7 @@ from .cyclotomic import (
     Datum,
     InconclusiveError,
     PPSubfieldLattice,
+    bad_primes,
     cyclo_primes_above,
 )
 from .finitefield import (
@@ -381,17 +382,15 @@ def degree1_density(step: KummerTower, X: int) -> DensityReport:
 
     Degree-1 means residue degree 1 over the rationals: the base prime has
     f = 1 and the step splits.  Finitely many primes (q = p, conductor and
-    datum support) are excluded.
+    datum support: `bad_primes`) are excluded.
     """
     p, m = step.p, step.m
     if step.pre_steps:
         raise ValueError("density is for bare steps")
-    skip = step.datum.core_support() | {p}
-    skip.update(sympy.primefactors(abs(step.datum.rat.numerator)))
-    skip.update(sympy.primefactors(step.datum.rat.denominator))
+    skip = bad_primes(m, p, (step.datum,))
     deg1 = total = 0
     for q in sympy.primerange(2, X + 1):
-        if q in skip or (m > 1 and m % q == 0):
+        if q in skip:
             continue
         f = sympy.n_order(q, m) if m > 1 else 1
         if q ** f > X:
@@ -459,18 +458,18 @@ def quartic_tower_exponents(rat: Fraction, r: int, q: int):
 # places of a field
 
 def field_bad_primes(field_desc) -> set[int]:
-    """Rational primes excluded from place enumeration for this field."""
+    """Rational primes excluded from place enumeration for this field.
+
+    None for the rationals, the primes of the conductor for a cyclotomic
+    field, and for a tower the single datum rule `cyclotomic.bad_primes`
+    over its datum and pre-steps.
+    """
     if field_desc == 1:
         return set()
     if isinstance(field_desc, int):
         return set(sympy.primefactors(field_desc))
     t: KummerTower = field_desc
-    bad = {t.p} | (set(sympy.primefactors(t.m)) if t.m > 1 else set())
-    for d in (t.datum, *t.pre_steps):
-        bad |= d.core_support()
-        bad |= set(sympy.primefactors(abs(d.rat.numerator)))
-        bad |= set(sympy.primefactors(d.rat.denominator))
-    return bad
+    return bad_primes(t.m, t.p, (t.datum, *t.pre_steps))
 
 
 def tower_shape(t: KummerTower) -> str | None:
@@ -682,7 +681,9 @@ def compositum_min_norm(tower: KummerTower, q: int,
     if other_degrees is not None:
         folded = fold_degree_multisets(((top_exp, cert.branch_count),),
                                        tuple(other_degrees))
-        assert all(d % top_exp == 0 for d, _ in folded)
+        if any(d % top_exp for d, _ in folded):
+            raise AssertionError(f"folded degrees {folded} not all divisible "
+                                 f"by the chain's top degree {top_exp}")
     return CompositumBound(cert, cert.norms[-1], folded)
 
 
@@ -719,11 +720,15 @@ def inert_prime_subfield(lattice: PPSubfieldLattice, q: int) -> SubfieldClassifi
         if (x, y) in tag.subgroup:
             hit = tag
             break
-    assert hit is not None and hit.label >= 1
+    if hit is None or hit.label < 1:
+        raise AssertionError(f"no subfield other than K holds Frobenius "
+                             f"coordinates {(x, y)}")
     # cross-check by direct residue tests
     P = primes[0]
-    assert lattice.kummer_exponent(hit.datum, P) == 0
-    assert lattice.kummer_exponent(lattice.K_datum, P) != 0
+    if lattice.kummer_exponent(hit.datum, P) != 0:
+        raise AssertionError(f"q = {q} does not split in subfield {hit.label}")
+    if lattice.kummer_exponent(lattice.K_datum, P) == 0:
+        raise AssertionError(f"q = {q} splits in K")
     return SubfieldClassification(q, (x, y), hit.label, hit.datum)
 
 
@@ -756,5 +761,6 @@ def inert_splits_in_top(lattice: PPSubfieldLattice, q: int) -> TopSplitCertifica
     vF = order_p_valuation(imgF, p)
     sF = sylow_valuation(P.norm - 1, p)
     s_up = sylow_valuation(P.norm ** p - 1, p)
-    assert vF <= sF < s_up
+    if not vF <= sF < s_up:
+        raise AssertionError(f"vF <= sF < s_up fails: {vF}, {sF}, {s_up}")
     return TopSplitCertificate(q, (x, y), DegreeClass.DEGREEP, p, 1)

@@ -201,7 +201,8 @@ def verify_nested(tower: KummerTower,
         line_log.append((canon, cert.witness_q))
         if canon == (1,) + (0,) * len(tower.pre_steps):
             main_cert = cert
-    assert main_cert is not None
+    if main_cert is None:
+        raise AssertionError("no Kummer line certifies the main datum")
     return NestednessCertificate(
         tower=tower,
         chain=build_nested_chain(tower),

@@ -16,7 +16,8 @@ import sympy
 
 from kummerlab.automorphic import (NormCharacter, base_change, character_of_order,
                                    components_match, field_bad_primes, lrs_check,
-                                   make_isobaric, place_norms, satake)
+                                   make_isobaric, place_norms, ramified_primes,
+                                   satake)
 from kummerlab.cli import parse_alpha
 from kummerlab.cyclotomic import Datum, cyclo_primes_above, pp_lattice
 from kummerlab.determination import run_pipeline
@@ -264,6 +265,7 @@ def test_exact_positivity(capsys):
                  for _ in range(rng.randint(1, 3))]
         pi = make_isobaric(left, Fraction(0), 1)
         pi2 = make_isobaric(right, Fraction(0), 1)
+        assert ramified_primes(pi, pi2) == rep_bad_primes(pi, pi2)
         sel = PrimeSelector(1, M, exclude=frozenset(rep_bad_primes(pi, pi2)))
         series = rs_coeffs(pi, pi2, sel, M, "Z")
 

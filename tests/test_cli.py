@@ -146,6 +146,18 @@ def test_split_density_report(capsys):
                                                             "660/677")
 
 
+def test_split_classify_report(capsys):
+    code, out = run(["split", "classify", "--m", "4", "--p", "2",
+                     "--alpha", "1+z", "--q", "13"], capsys)
+    assert code == 0
+    assert out == ('{\n  "kind": "classify-report",\n  "q": 13,\n  "rows": [\n'
+                   '    {\n      "base_degree": 1,\n      "class": "DEGREEP",\n'
+                   '      "prime_index": 0\n    },\n'
+                   '    {\n      "base_degree": 1,\n      "class": "DEGREE1",\n'
+                   '      "prime_index": 1\n    }\n'
+                   '  ],\n  "schema": 1,\n  "threads": 1\n}\n')
+
+
 def test_lemma_45_report(capsys):
     code, out = run(["lemma", "45", "--m", "4", "--p", "2", "--r", "2",
                      "--alpha", "1+z", "--q", "3", "--other", "1:4,2:2"],
@@ -269,8 +281,10 @@ def test_descent_run_report(pairs, capsys):
      "--format", "csv"],
     ["theorem-a", "--K", "F_7", "--pair", "nowhere.json"],
     ["theorem-a", "--K", "Q(i)", "--pair", "nowhere.json"],
+    ["split", "classify", "--m", "4", "--p", "2", "--alpha", "1+z",
+     "--q", "13", "--r", "2"],
 ], ids=["unknown", "bare-group", "missing-alpha", "zero-n", "zero-threads",
-        "csv-no-rows", "bad-field", "missing-pair"])
+        "csv-no-rows", "bad-field", "missing-pair", "classify-height"])
 def test_invalid_parameters_exit_64(argv, capsys):
     code, _ = run(argv, capsys)
     assert code == 64

@@ -11,6 +11,7 @@ from kummerlab.cyclotomic import (
     CycloField,
     Datum,
     InconclusiveError,
+    bad_primes,
     cyclo_primes_above,
     cyclotomic_poly_coeffs,
     datum_power_certificate,
@@ -211,6 +212,29 @@ def test_pp_lattice_frozen_quadratic():
     assert lat.subfields[2].subgroup == ((1, 1),)
     assert lat.all_nonidentity_covered_once()
     assert lat.bad_primes() == {2, 3}
+
+
+def test_bad_primes_frozen():
+    F4, F9 = CycloField(4), CycloField(9)
+    # cyclotomic cores: N(1+i) = 2, N(2+i) = 5, N(3+2i) = 13, N(2+z9) = 3 * 19
+    assert bad_primes(4, 2, (Datum(F4.element((1, 1))),)) == {2}
+    assert bad_primes(4, 2, (Datum(F4.element((2, 1))),)) == {2, 5}
+    assert bad_primes(4, 2, (Datum(F4.element((3, 2)), Fraction(5, 7)),)) \
+        == {2, 5, 7, 13}
+    assert bad_primes(9, 3, (Datum(F9.element((2, 1))),)) == {3, 19}
+    # rational and coefficient denominators
+    assert bad_primes(1, 2, (Datum.of(Fraction(-10, 21)),)) == {2, 3, 5, 7}
+    assert bad_primes(4, 2, (Datum(F4.element((Fraction(1, 5), 1))),)) \
+        == {2, 5, 13}
+
+
+def test_pp_lattice_bad_primes_frozen_and_fresh():
+    lat = pp_lattice(1, 2, Datum.of(Fraction(5, 3)), Datum.of(-7))
+    assert lat.bad_primes() == {2, 3, 5, 7}
+    lat.bad_primes().add(11)             # callers may mutate their copy
+    assert lat.bad_primes() == {2, 3, 5, 7}
+    lat = pp_lattice(4, 2, Datum(CycloField(4).element((2, 1))), Datum.of(3, 4))
+    assert lat.bad_primes() == {2, 3, 5}
 
 
 def test_pp_lattice_rejects_equal_fields():

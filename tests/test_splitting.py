@@ -53,13 +53,28 @@ def test_trace_split_roots_frozen():
     assert tr.norms(1) == (13, 13)
 
 
-_BREAK_A_TRACE = """
-from kummerlab import cyclotomic, splitting
-from kummerlab.cyclotomic import CycloField, Datum, cyclo_primes_above
+_ASSERTS_OFF = """
 try:
     assert False
 except AssertionError:
     raise SystemExit("asserts are on")
+"""
+
+
+def _run_optimized(script):
+    """stdout lines of `script` run under python -O, asserts verified off."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-O", "-c", _ASSERTS_OFF + script],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.splitlines()
+
+
+_BREAK_A_TRACE = """
+from kummerlab import cyclotomic, splitting
+from kummerlab.cyclotomic import CycloField, Datum, cyclo_primes_above
 step = splitting.kummer_step(4, 2, Datum(CycloField(4).element((1, 1))))
 P = cyclo_primes_above(4, 13)[1]
 roots, exp = splitting.element_pth_roots, splitting._field_exp
@@ -86,15 +101,77 @@ cyclotomic.make_ext_field = real
 def test_trace_checks_survive_optimize():
     # a dropped root, a wrong degree sum and a residue field without the
     # m-th roots of unity still raise under python -O
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-O", "-c", _BREAK_A_TRACE], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines() == ["1 p-th roots of a split datum, expected 2",
-                                       "degree sum mismatch",
-                                       "F_3^2 has no primitive 4-th root of unity"]
+    assert _run_optimized(_BREAK_A_TRACE) == [
+        "1 p-th roots of a split datum, expected 2",
+        "degree sum mismatch",
+        "F_3^2 has no primitive 4-th root of unity"]
+
+
+_BREAK_A_CERTIFICATE = """
+from fractions import Fraction
+from kummerlab import determination, lseries, splitting, tower
+from kummerlab.automorphic import NormCharacter, make_isobaric
+from kummerlab.cyclotomic import CycloField, Datum, pp_lattice
+
+def report(fn, *args):
+    try:
+        fn(*args)
+    except AssertionError as e:
+        print(e)
+
+def patched(owner, name, fake, fn, *args):
+    real = getattr(owner, name)
+    setattr(owner, name, fake)
+    report(fn, *args)
+    setattr(owner, name, real)
+
+patched(determination, "hilbert_symbol", lambda a, b, v: -1 if v == 0 else 1,
+        determination.hilbert_obstructions, 3, 5)
+pi = make_isobaric([(NormCharacter.trivial(1), 1)], 0, 1)
+patched(lseries.CoefficientSeries, "floats", lambda self: {2: -1.0},
+        lseries.positivity_check, pi, pi, lseries.PrimeSelector(1, 20), 20)
+gauss = tower.KummerTower(4, 2, 2, Datum(CycloField(4).element((1, 1)), Fraction(3)))
+patched(splitting, "fold_degree_multisets", lambda A, B: ((3, 1),),
+        splitting.compositum_min_norm, gauss, 5, ((1, 2),))
+# 5 is inert in Q(sqrt 3) and splits in Q(i); 13 splits in both
+lat = pp_lattice(1, 2, Datum.of(3), Datum.of(-1))
+patched(lat, "subfields", (), splitting.inert_prime_subfield, lat, 5)
+lat = pp_lattice(1, 2, Datum.of(3), Datum.of(-1))
+lat.kummer_exponent = lambda d, P: 1
+report(splitting.inert_prime_subfield, lat, 5)
+lat = pp_lattice(1, 2, Datum.of(3), Datum.of(-1))
+lat.frobenius_coordinates = lambda P: (1, 0)
+report(splitting.inert_prime_subfield, lat, 13)
+patched(splitting, "order_p_valuation", lambda x, p: 9,
+        splitting.inert_splits_in_top, pp_lattice(1, 2, Datum.of(3), Datum.of(-1)), 5)
+patched(tower, "_kummer_lines", lambda t: (), tower.verify_nested, gauss)
+"""
+
+
+def test_certificate_checks_survive_optimize():
+    # every certificate cross-check raises under python -O when the value it
+    # checks is broken
+    assert _run_optimized(_BREAK_A_CERTIFICATE) == [
+        "product formula violated",
+        "squared-modulus coefficient evaluated negative",
+        "folded degrees ((3, 1),) not all divisible by the chain's top degree 4",
+        "no subfield other than K holds Frobenius coordinates (1, 0)",
+        "q = 5 does not split in subfield 2",
+        "q = 13 splits in K",
+        "vF <= sF < s_up fails: 9, 2, 3",
+        "no Kummer line certifies the main datum"]
+
+
+def test_field_bad_primes_frozen():
+    F4, F9 = CycloField(4), CycloField(9)
+    assert field_bad_primes(1) == set()
+    assert field_bad_primes(12) == {2, 3}
+    with_pre = KummerTower(4, 2, 3, Datum(F4.element((Fraction(1, 5), 1))),
+                           pre_steps=(Datum.of(6, 4), Datum(F4.element((2, 1)))))
+    assert field_bad_primes(with_pre) == {2, 3, 5, 13}
+    with_pre = KummerTower(9, 3, 2, Datum(F9.element((1, 1))),
+                           pre_steps=(Datum.of(Fraction(5, 11), 9),))
+    assert field_bad_primes(with_pre) == {3, 5, 11}
 
 
 def test_classify_ramified_and_wild():
