@@ -457,10 +457,10 @@ class SatakeClass:
 def satake(pi: IsobaricRep, v) -> SatakeClass:
     """The class at an unramified place; v as in place_norm."""
     Nv = place_norm(v)
-    q = sympy.primefactors(Nv)[0]
     eig = []
     for chi, m in pi.components:
-        if chi.modulus % q == 0:
+        if math.gcd(chi.modulus, Nv) != 1:
+            q = sympy.primefactors(Nv)[0]
             raise ValueError(f"place above {q} is ramified for a component")
         eig.extend([(chi.angle(Nv), pi.t)] * m)
     return SatakeClass(Nv, tuple(sorted(eig)))

@@ -596,6 +596,12 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a value with a leading '-' that is not a plain number
+    # (a datum such as -5/6 or -z) for an option: glue it to its flag
+    for i in range(len(argv) - 2, -1, -1):
+        if argv[i] in ("--alpha", "--pre") and not argv[i + 1].startswith("--"):
+            argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
     args = _build_parser().parse_args(argv)
     try:
         args.thread_count = _thread_count(args)

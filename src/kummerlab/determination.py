@@ -561,8 +561,8 @@ def check_agreement(pi: IsobaricRep, pi2: IsobaricRep, X: int,
     bad = field_bad_primes(field) | set(exclude)
     ram = ramified_primes(pi, pi2)
     exceptions = tuple((q, "field" if q in bad else "ramified")
-                       for q in sympy.primerange(2, X + 1)
-                       if q in bad or q in ram)
+                       for q in sorted(bad | ram)
+                       if q <= X and sympy.isprime(q))
     rows = tuple(AgreementRow(q, q ** f, f,
                               satake(pi, q ** f) == satake(pi2, q ** f))
                  for q, f, _ in place_table(field, X)
@@ -638,21 +638,9 @@ def determination_experiment(pi: IsobaricRep, pi2: IsobaricRep,
     cutoff is given, the measured slope of the pair's log-ratio series is
     compared against the pole book's prediction.
     """
-    if not (pi.is_unitary and pi2.is_unitary):
-        raise ValueError("the experiment needs the unitary model (t = 0)")
-    if pi.n != pi2.n:
-        raise ValueError("the pair must have equal ambient degree")
-    need = tuple(range(1, tail_threshold(pi.n)))
-    present = {r.degree for r in hypothesis.rows}
-    realizable = _realizable_degrees(pi.field)
-    for d in need:
-        if d in present:
-            continue
-        if realizable is not None and d not in realizable:
-            continue     # the field has no places of this degree at all
-        raise ValueError(
-            f"hypothesis tables incomplete: degree {d} of {need} required, "
-            f"rows cover {sorted(present)}")
+    missing = _missing_degree(pi, pi2, hypothesis)
+    if missing is not None:
+        raise ValueError(missing)
     matched = components_match(pi, pi2)
     peeled, residual = _peel(pi, pi2)
     book = pole_book(pi, pi2)
@@ -674,6 +662,30 @@ def determination_experiment(pi: IsobaricRep, pi2: IsobaricRep,
         pole_prediction=book.neg_ord,
         slope=slope,
         slope_consistent=consistent)
+
+
+def _missing_degree(pi: IsobaricRep, pi2: IsobaricRep,
+                    hypothesis: AgreementHypothesis) -> str | None:
+    """Why the tables cannot decide the pair, or None when they can.
+
+    Every degree below the tail threshold that the field realizes needs a
+    row.  A pair the experiment does not compare raises ValueError.
+    """
+    if not (pi.is_unitary and pi2.is_unitary):
+        raise ValueError("the experiment needs the unitary model (t = 0)")
+    if pi.n != pi2.n:
+        raise ValueError("the pair must have equal ambient degree")
+    need = tuple(range(1, tail_threshold(pi.n)))
+    present = {r.degree for r in hypothesis.rows}
+    realizable = _realizable_degrees(pi.field)
+    for d in need:
+        if d in present:
+            continue
+        if realizable is not None and d not in realizable:
+            continue     # the field has no places of this degree at all
+        return (f"hypothesis tables incomplete: degree {d} of {need} "
+                f"required, rows cover {sorted(present)}")
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -1008,17 +1020,15 @@ def run_pipeline(K_desc, pi: IsobaricRep, pi2: IsobaricRep, X: int = 10 ** 4,
         return report("NOT-HYPOTHESIS")
     need = tuple(range(1, tail_threshold(pi.n)))
     hyp_L = check_agreement(pi_L, pi2_L, compare_X, degrees=need)
-    try:
-        exp = determination_experiment(pi_L, pi2_L, hyp_L,
-                                       slope_cutoff=slope_cutoff)
-    except ValueError as e:
-        if "incomplete" not in str(e):
-            raise
+    missing = _missing_degree(pi_L, pi2_L, hyp_L)
+    if missing is not None:
         # the compare window is too small to populate a required degree
         emit("low-degree-compare", hyp.summary(), "INCONCLUSIVE",
              {"hypothesis": hyp.summary(), "over_L": hyp_L.summary(),
-              "error": str(e)})
+              "error": missing})
         return report("INCONCLUSIVE")
+    exp = determination_experiment(pi_L, pi2_L, hyp_L,
+                                   slope_cutoff=slope_cutoff)
     emit("low-degree-compare", hyp.summary(), exp.verdict,
          {"hypothesis": hyp.summary(), "over_L": hyp_L.summary(),
           "experiment": exp})

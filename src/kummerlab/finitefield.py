@@ -14,8 +14,8 @@ non-p-th-power" and sorted root lists all refer to this order.
 Exponents are arbitrary-precision throughout.  Irreducibility is Ben-Or's
 test, which stops at the first factor degree it finds.  p-th roots come from
 one deterministic Adleman-Manders-Miller extractor, seeded here by the least
-non-p-th-power and generic enough to serve the relative fields of
-``kummerlab.splitting``.
+non-p-th-power.  ``is_pth_power`` and ``pth_roots`` are generic: they serve
+the relative fields of ``kummerlab.splitting`` too.
 """
 
 from __future__ import annotations
@@ -286,18 +286,19 @@ class FFElement:
         return " + ".join(terms) if terms else "0"
 
 
-def pth_power_status(x: FFElement, p: int) -> tuple[bool, bool]:
-    """(is a p-th power, zero-input flag).  0 is every p-th power (0 = 0^p)."""
+def is_pth_power(x, p: int) -> bool:
+    """Euler's criterion: x is a p-th power iff x^((N-1)/p) = 1, N = |F|.
+
+    0 = 0^p is one, and so is everything when p does not divide N - 1 (the
+    p-power map is a bijection).  Generic: x needs ``is_zero()``,
+    ``field.size``, ``field.one()`` and ``**``.
+    """
     if x.is_zero():
-        return True, True
+        return True
     n_ = x.field.size - 1
     if n_ % p != 0:
-        return True, False  # p-power map is a bijection
-    return x ** (n_ // p) == x.field.one(), False
-
-
-def is_pth_power(x: FFElement, p: int) -> bool:
-    return pth_power_status(x, p)[0]
+        return True
+    return x ** (n_ // p) == x.field.one()
 
 
 def mult_order(x: FFElement) -> int:
@@ -343,8 +344,12 @@ def order_p_valuation(x, p: int) -> int:
     return v
 
 
-def pth_roots(x: FFElement, p: int) -> list[FFElement]:
-    """All y with y^p = x, sorted canonically.  Length 0, 1 or p."""
+def pth_roots(x, p: int) -> list:
+    """All y with y^p = x in x's own field, sorted by ``key()``.
+
+    Length 0, 1 or p.  Generic: beyond what `amm_pth_roots` needs, the field
+    gives ``zero()`` and ``least_nonresidue(p)``, the AMM seed.
+    """
     field = x.field
     if x.is_zero():
         return [field.zero()]

@@ -1,14 +1,14 @@
 """Residue traces of primes up Kummer chains, and splitting classifiers.
 
-Decisions ride on multiplicative orders, not ideal arithmetic: with mu_p in
+Decisions ride on residue arithmetic, not ideal arithmetic: with mu_p in
 the residue field, a degree-p Kummer step is split at an unramified prime
-exactly when the datum's image is a p-th power, i.e. when the p-valuation of
-its order is below that of the residue group.  Splitting keeps the residue
+exactly when the datum's image is a p-th power there (Kummer's criterion,
+decided by Euler's criterion in `_splits`).  Splitting keeps the residue
 field (all p roots are rational over it); an inert step is modelled as the
 relative extension F[t]/(t^p - a), which makes the adjoined root available
 with no embedding work.  Once a step is inert with the p-part of the residue
 group of size >= p^2 (automatic for p odd), every later step stays inert, so
-deep chains cost one valuation check.
+deep chains cost one power test.
 
 Wild primes (q = p) are refused: the residue criterion does not apply.
 """
@@ -31,8 +31,7 @@ from .cyclotomic import (
     cyclo_primes_above,
 )
 from .finitefield import (
-    FFElement,
-    amm_pth_roots,
+    is_pth_power,
     order_p_valuation,
     pth_roots,
     sylow_valuation,
@@ -54,6 +53,16 @@ def kummer_step(m: int, p: int, datum: Datum,
     return KummerTower(m, p, 1, datum, pre_steps=tuple(pre_steps))
 
 
+def _splits(img, p: int) -> bool:
+    """Kummer's criterion: the step splits at the prime iff img is a p-th power.
+
+    img lives in the residue field, which must hold mu_p.
+    """
+    if (img.field.size - 1) % p:
+        raise ValueError("mu_p missing from the residue field")
+    return is_pth_power(img, p)
+
+
 # ---------------------------------------------------------------------------
 # relative extensions for inert growth
 
@@ -69,7 +78,7 @@ class RelField:
     __slots__ = ("parent", "a", "p", "size", "char")
 
     def __init__(self, parent, a, p):
-        if order_p_valuation(a, p) < sylow_valuation(parent.size - 1, p):
+        if _splits(a, p):
             raise ValueError("adjoined datum is a p-th power already")
         self.parent = parent
         self.a = a
@@ -91,6 +100,19 @@ class RelField:
 
     def embed(self, x):
         return RElement(self, (x,) + (self.parent.zero(),) * (self.p - 1))
+
+    def least_nonresidue(self, p: int) -> "RElement":
+        """A non-p-th power, the first found counting up from the generator.
+
+        Seeds `finitefield.pth_roots`, whose root set does not depend on it.
+        """
+        cand = self.gen()
+        one = self.one()
+        for _ in range(64):
+            if not is_pth_power(cand, p):
+                return cand
+            cand = cand + one
+        raise InconclusiveError("no p-Sylow seed found near the generator")
 
     def __eq__(self, other):
         return (isinstance(other, RelField) and self.p == other.p
@@ -169,33 +191,6 @@ class RElement:
         return f"RElement({self.key()})"
 
 
-def element_pth_roots(x, p: int) -> list:
-    """All p-th roots in x's own field, sorted by ``key()``.
-
-    FFElements go through ``finitefield.pth_roots``; RElements through the
-    same ``amm_pth_roots``, seeded by the first element of full p-valuation
-    found counting up from the generator.
-    """
-    if isinstance(x, FFElement):
-        return pth_roots(x, p)
-    field = x.field
-    if x.is_zero():
-        return [field.zero()]
-    n = field.size - 1
-    s = sylow_valuation(n, p)
-    if s == 0:
-        return [x ** pow(p, -1, n)]
-    if order_p_valuation(x, p) >= s:
-        return []
-    cand = field.gen()
-    one = field.one()
-    for _ in range(64):
-        if not cand.is_zero() and order_p_valuation(cand, p) == s:
-            return amm_pth_roots(x, p, cand)
-        cand = cand + one
-    raise InconclusiveError("no p-Sylow seed found near the generator")
-
-
 # ---------------------------------------------------------------------------
 # traces
 
@@ -243,12 +238,8 @@ def _step_branch(node: BranchNode, p: int, level: int) -> list[BranchNode]:
     if node.image is None:
         return [BranchNode(node.exp * p, None, node.count, node.tail_from)]
     img = node.image
-    s = sylow_valuation(img.field.size - 1, p)
-    if s == 0:
-        raise ValueError("mu_p missing from the residue field; "
-                         "wild or malformed step")
-    if order_p_valuation(img, p) < s:
-        roots = element_pth_roots(img, p)
+    if _splits(img, p):
+        roots = pth_roots(img, p)
         if len(roots) != p:
             raise AssertionError(f"{len(roots)} p-th roots of a split datum, "
                                  f"expected {p}")
@@ -279,10 +270,7 @@ def trace_prime(tower: KummerTower, prime: CycloPrime) -> PrimeTrace:
         c = pre.unit_part_image(prime)
         for g in growth:
             c = g.embed(c)
-        s = sylow_valuation(field.size - 1, p)
-        if s == 0:
-            raise ValueError("mu_p missing from the residue field")
-        if order_p_valuation(c, p) < s:
+        if _splits(c, p):
             count *= p
         else:
             field = RelField(field, c, p)
@@ -331,12 +319,7 @@ def classify_prime(step: KummerTower, prime: CycloPrime) -> DegreeClass:
     if step.datum.v_q(q) % p != 0:
         return DegreeClass.RAMIFIED
     img = step.datum.unit_part_image(prime)
-    s = sylow_valuation(img.field.size - 1, p)
-    if s == 0:
-        raise ValueError("mu_p missing from the residue field")
-    if order_p_valuation(img, p) < s:
-        return DegreeClass.DEGREE1
-    return DegreeClass.DEGREEP
+    return DegreeClass.DEGREE1 if _splits(img, p) else DegreeClass.DEGREEP
 
 
 def classify_rational(step: KummerTower, q: int):
@@ -612,18 +595,14 @@ def _inert_cert_at(tower: KummerTower, P: CycloPrime) -> InertChainCertificate:
         raise ValueError("ramified in the datum")
     count = 1
     for pre in tower.pre_steps:
-        img = pre.unit_part_image(P)
-        s0 = sylow_valuation(img.field.size - 1, p)
-        if order_p_valuation(img, p) >= s0:
+        if not _splits(pre.unit_part_image(P), p):
             raise ValueError("inert pre-step forces a split higher up")
         count *= p
     a0 = tower.datum.unit_part_image(P)
+    if _splits(a0, p):
+        raise ValueError(f"datum image is a {p}-th power at this prime")
     v = order_p_valuation(a0, p)
     s = sylow_valuation(a0.field.size - 1, p)
-    if s == 0:
-        raise ValueError("mu_p missing from the residue field")
-    if v < s:
-        raise ValueError(f"datum image is a {p}-th power at this prime")
     if tower.stacked_steps >= 2 and not _rich_enough(a0.field.size, p):
         raise ValueError("p-part of the residue group too small to persist")
     Q = P.norm

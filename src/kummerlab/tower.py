@@ -27,6 +27,7 @@ from .cyclotomic import (
     CycloPrime,
     Datum,
     PowerCertificate,
+    _fraction_is_pth_power,
     require_not_pth_power,
 )
 
@@ -94,16 +95,8 @@ def _pre_step_gives_mu(d: Datum, p: int) -> bool:
     val = d.value()
     if p == 2:
         # need sqrt(-1): value = -(square) up to rational squares
-        if not val.is_rational():
-            return False
-        neg = -val.as_fraction()
-        if neg <= 0:
-            return False
-        for part in (neg.numerator, neg.denominator):
-            root = sympy.integer_nthroot(part, 2)[0]
-            if root * root != part:
-                return False
-        return True
+        return (val.is_rational()
+                and _fraction_is_pth_power(-val.as_fraction(), 2))
     # p odd: need zeta_{p^2} = (primitive p-th root)^{1/p}
     f = d.cyc.field
     if d.rat not in (Fraction(1), Fraction(-1)):
@@ -116,7 +109,7 @@ def _pre_step_gives_mu(d: Datum, p: int) -> bool:
         probe = probe * z_p
         if probe == f.one():
             return True
-    return val == f.one() and False
+    return False
 
 
 def _mu_p2_source(tower: KummerTower) -> str:

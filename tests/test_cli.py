@@ -267,6 +267,17 @@ def test_descent_run_report(pairs, capsys):
     assert doc["replay_check"] is True
 
 
+@pytest.mark.parametrize("argv,flag,value", [
+    (["split", "classify", "--m", "1", "--p", "2", "--q", "7"], "--alpha", "-5/6"),
+    (["tower", "build", "--m", "4", "--p", "2", "--alpha", "3"], "--pre", "-z"),
+], ids=["alpha", "pre"])
+def test_negative_data_space_form(argv, flag, value, capsys):
+    # a datum with a leading '-' may follow its flag as a separate argument
+    code, out = run(argv + [flag, value], capsys)
+    assert code == 0
+    assert run(argv + [f"{flag}={value}"], capsys) == (0, out)
+
+
 # ---------------------------------------------------------------------------
 # exit codes and determinism
 

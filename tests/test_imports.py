@@ -1,7 +1,9 @@
-"""Every name a kummerlab module imports is referenced in that module."""
+"""Every name a kummerlab module imports is referenced in that module, and
+every module-level private function is referenced somewhere in the package."""
 
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -62,3 +64,45 @@ def test_unused_imports_detected():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def unreferenced_private_functions(sources: dict[str, str]) -> list[str]:
+    """Module-level `_private` functions no other code in `sources` names.
+
+    A reference is a name or attribute anywhere in the sources outside the
+    function's own body, so recursion alone does not count.
+    """
+    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+
+    def names(node):
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                yield n.id
+            elif isinstance(n, ast.Attribute):
+                yield n.attr
+
+    refs = Counter(name for tree in trees.values() for name in names(tree))
+    out = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name.startswith("_")
+                    and not node.name.startswith("__")
+                    and refs[node.name] == sum(1 for n in names(node)
+                                               if n == node.name)):
+                out.append(f"{mod}:{node.name} (line {node.lineno})")
+    return sorted(out)
+
+
+def test_unreferenced_private_functions_detected():
+    sources = {"a.py": "def _used():\n    pass\ndef _loop(n):\n    return _loop(n)\n"
+                       "def _dead():\n    pass\ndef _shared():\n    pass\n"
+                       "def _by_attr():\n    pass\ndef public():\n    return _used()\n",
+               "b.py": "from a import _shared\nx = _shared()\ny = a._by_attr\n"}
+    assert unreferenced_private_functions(sources) == [
+        "a.py:_dead (line 5)", "a.py:_loop (line 3)"]
+
+
+def test_no_unreferenced_private_functions():
+    sources = {m: (SRC / m).read_text() for m in MODULES}
+    assert unreferenced_private_functions(sources) == []

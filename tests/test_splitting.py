@@ -18,7 +18,6 @@ from kummerlab.splitting import (
     classify_rational,
     compositum_min_norm,
     degree1_density,
-    element_pth_roots,
     field_bad_primes,
     fold_degree_multisets,
     inert_chain_certificate,
@@ -30,7 +29,14 @@ from kummerlab.splitting import (
     place_table,
     trace_prime,
 )
-from kummerlab.finitefield import make_ext_field, mult_order, order_p_valuation
+from kummerlab.finitefield import (
+    is_pth_power,
+    make_ext_field,
+    mult_order,
+    order_p_valuation,
+    pth_roots,
+    sylow_valuation,
+)
 from kummerlab.tower import KummerTower
 
 
@@ -77,8 +83,8 @@ from kummerlab import cyclotomic, splitting
 from kummerlab.cyclotomic import CycloField, Datum, cyclo_primes_above
 step = splitting.kummer_step(4, 2, Datum(CycloField(4).element((1, 1))))
 P = cyclo_primes_above(4, 13)[1]
-roots, exp = splitting.element_pth_roots, splitting._field_exp
-for name, fake in (("element_pth_roots", lambda x, p: roots(x, p)[1:]),
+roots, exp = splitting.pth_roots, splitting._field_exp
+for name, fake in (("pth_roots", lambda x, p: roots(x, p)[1:]),
                    ("_field_exp", lambda f, P: exp(f, P) + 1)):
     real = getattr(splitting, name)
     setattr(splitting, name, fake)
@@ -356,7 +362,7 @@ def test_rel_field_roots_round_trip():
     F5 = make_ext_field(5, 1)
     R = RelField(F5, F5.element(2), 2)       # 2 is not a square mod 5
     four = R.embed(F5.element(4))
-    roots = element_pth_roots(four, 2)
+    roots = pth_roots(four, 2)
     assert len(roots) == 2
     assert all(r ** 2 == four for r in roots)
     assert (R.gen() ** 2) == R.embed(F5.element(2))
@@ -374,13 +380,36 @@ def test_rel_field_roots_against_brute_force(q, a, p):
         brute.setdefault((y ** p).key(), []).append(y)
     for x in elements:
         want = sorted(brute.get(x.key(), []), key=lambda r: r.key())
-        assert element_pth_roots(x, p) == want
+        assert pth_roots(x, p) == want
 
 
 def test_rel_field_rejects_power():
     F5 = make_ext_field(5, 1)
     with pytest.raises(ValueError):
         RelField(F5, F5.element(4), 2)       # 4 = 2^2
+    # no mu_3 in F_5: 2 = 3^3, so F_5[t]/(t^3 - 2) is not a field
+    with pytest.raises(ValueError, match="mu_p missing"):
+        RelField(F5, F5.element(2), 3)
+
+
+@pytest.mark.parametrize("q,d,rel", [
+    (3, 4, None), (13, 2, None), (5, 1, (2, 2)), (7, 1, (3, 3)),
+], ids=["F3^4", "F13^2", "F5(sqrt2)", "F7(cbrt3)"])
+def test_euler_criterion_against_order_valuation(q, d, rel):
+    # x is a p-th power iff its order's p-part is below the group's
+    field = make_ext_field(q, d)
+    elements = list(field.elements())
+    if rel is not None:                     # F_q[t]/(t^p - a)
+        a, p = rel
+        field = RelField(field, field.element(a), p)
+        elements = [RElement(field, cs) for cs in
+                    itertools.product(elements, repeat=p)]
+    n = field.size - 1
+    for ell in sympy.primefactors(n):
+        s = sylow_valuation(n, ell)
+        for x in elements:
+            if not x.is_zero():
+                assert is_pth_power(x, ell) == (order_p_valuation(x, ell) < s)
 
 
 def test_mixed_pre_step_trace_matches_cyclotomic():
