@@ -252,7 +252,9 @@ def _cmd_split_trace(args):
     primes = cyclo_primes_above(t.m, args.q)
     for i, P in enumerate(primes):
         tr = trace_prime(t, P)
-        ramified = ramified or tr.ramified
+        if tr.ramified:
+            ramified = True
+            continue
         for level in range(t.r + 1):
             for degree, count in tr.places(level):
                 rows.append({"prime_index": i, "base_degree": P.f,

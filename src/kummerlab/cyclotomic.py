@@ -1,7 +1,11 @@
 """Exact arithmetic in Q(zeta_m) and its residue data at unramified primes.
 
-Elements are Fraction vectors of length phi(m) reduced mod the m-th
-cyclotomic polynomial.  Primes above an unramified rational q are represented
+An element is an integer vector `num` of length phi(m) over the power
+basis 1, zeta, ..., zeta^(phi(m)-1), reduced mod the m-th cyclotomic
+polynomial, and one common denominator `den > 0` with gcd(den, *num) = 1.
+Arithmetic runs on ints; `coeffs` gives the Fraction coefficients for display
+and for exact conversion.  zeta^k is read from the field's integer table of
+t^j mod Phi_m.  Primes above an unramified rational q are represented
 by residue data only: the pair (q, zbar) with zbar a root of Phi_m in
 F_{q^f}, f = ord(q mod m).  One prime per Frobenius orbit of roots, orbit
 representative and ordering fixed by the canonical element order of the
@@ -58,59 +62,64 @@ class _CycloField:
         phi = cyclotomic_poly_coeffs(m)
         self.degree = len(phi) - 1
         self._phi = phi
-        # t^j mod Phi_m for j = 0..m (covers Galois exponent folding)
+        # t^j mod Phi_m for j = 0..m (covers Galois exponent folding); Phi_m
+        # is monic over Z, so every row is an integer vector
         rows = []
-        cur = [Fraction(1)] + [Fraction(0)] * (self.degree - 1)
+        cur = (1,) + (0,) * (self.degree - 1)
         for _ in range(max(m + 1, 2 * self.degree)):
-            rows.append(tuple(cur))
+            rows.append(cur)
             cur = self._shift(cur)
         self._power_rows = rows
 
     def _shift(self, vec):
         # multiply by t, reduce by the monic Phi_m
-        out = [Fraction(0)] + list(vec[:-1])
         top = vec[-1]
-        if top:
-            for i in range(self.degree):
-                out[i] -= top * self._phi[i]
-        return out
+        return tuple(a - top * c for a, c in zip((0,) + vec[:-1], self._phi))
 
     def element(self, coeffs) -> "CycloElement":
         if isinstance(coeffs, (int, Fraction)):
-            coeffs = (coeffs,)
-        vec = [Fraction(0)] * self.degree
+            # a Fraction is already in lowest terms with a positive denominator
+            num = (coeffs.numerator,) + (0,) * (self.degree - 1)
+            return CycloElement(self, num, coeffs.denominator)
+        coeffs = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in coeffs))
+        vec = [0] * self.degree
         for j, c in enumerate(coeffs):
-            c = Fraction(c)
             if c:
-                row = self._power_rows[j % self.m] if j >= self.degree else None
-                if row is None:
-                    vec[j] += c
+                n = c.numerator * (den // c.denominator)
+                if j < self.degree:
+                    vec[j] += n
                 else:
-                    for i, r in enumerate(row):
-                        vec[i] += c * r
-        return CycloElement(self, tuple(vec))
+                    for i, r in enumerate(self._power_rows[j % self.m]):
+                        vec[i] += n * r
+        return _reduced(self, vec, den)
 
     def zero(self):
-        return self.element(())
+        return self.element(0)
 
     def one(self):
-        return self.element((1,))
+        return self.element(1)
+
+    def zeta_power(self, k: int) -> "CycloElement":
+        """zeta^k, read from the power table (zeta^m = 1)."""
+        return CycloElement(self, self._power_rows[k % self.m])
 
     def zeta(self):
-        return self.element((0, 1)) if self.degree > 1 else self.element(
-            (1,) if self.m == 1 else (-1,))
+        return self.zeta_power(1)
 
     def galois(self, x: "CycloElement", a: int) -> "CycloElement":
         """sigma_a: zeta -> zeta^a for gcd(a, m) = 1."""
         if math.gcd(a, self.m) != 1:
             raise ValueError(f"{a} not a unit mod {self.m}")
-        vec = [Fraction(0)] * self.degree
-        for j, c in enumerate(x.coeffs):
+        vec = [0] * self.degree
+        for j, c in enumerate(x.num):
             if c:
-                row = self._power_rows[(a * j) % self.m]
-                for i, r in enumerate(row):
-                    vec[i] += c * r
-        return CycloElement(self, tuple(vec))
+                for i, r in enumerate(self._power_rows[(a * j) % self.m]):
+                    if r:
+                        vec[i] += c * r
+        # sigma_a permutes Z[zeta] and each q Z[zeta], so num / den stays in
+        # lowest terms
+        return CycloElement(self, vec, x.den)
 
     def units(self):
         return [a for a in range(1, self.m + 1) if math.gcd(a, self.m) == 1] \
@@ -121,43 +130,56 @@ class _CycloField:
 
 
 class CycloElement:
-    __slots__ = ("field", "coeffs")
+    """num / den: an integer vector over the power basis and a common denominator.
 
-    def __init__(self, field, coeffs):
+    Canonical form: len(num) = phi(m), den > 0, gcd(den, *num) = 1, so zero is
+    (0, ..., 0) over 1.  The constructor raises on any other form.
+    """
+
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field, num, den=1):
+        num = tuple(num)
+        if len(num) != field.degree or den < 1 or math.gcd(den, *num) != 1:
+            raise ValueError(f"non-canonical element of {field}: {num} / {den}")
         self.field = field
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients over the power basis, as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def __add__(self, other):
         other = self._coerce(other)
-        return CycloElement(self.field, tuple(a + b for a, b in
-                                              zip(self.coeffs, other.coeffs)))
+        return _combine(self, other, 1)
 
     def __sub__(self, other):
         other = self._coerce(other)
-        return CycloElement(self.field, tuple(a - b for a, b in
-                                              zip(self.coeffs, other.coeffs)))
+        return _combine(self, other, -1)
 
     def __neg__(self):
-        return CycloElement(self.field, tuple(-a for a in self.coeffs))
+        return CycloElement(self.field, [-a for a in self.num], self.den)
 
     def __mul__(self, other):
         other = self._coerce(other)
         f = self.field
         deg = f.degree
-        conv = [Fraction(0)] * (2 * deg - 1)
-        for i, a in enumerate(self.coeffs):
+        conv = [0] * (2 * deg - 1)
+        for i, a in enumerate(self.num):
             if a:
-                for j, b in enumerate(other.coeffs):
+                for j, b in enumerate(other.num):
                     if b:
                         conv[i + j] += a * b
-        vec = list(conv[:deg])
+        vec = conv[:deg]
         for j in range(deg, 2 * deg - 1):
             c = conv[j]
             if c:
-                row = f._power_rows[j]
-                for i, r in enumerate(row):
-                    vec[i] += c * r
-        return CycloElement(f, tuple(vec))
+                for i, r in enumerate(f._power_rows[j]):
+                    if r:
+                        vec[i] += c * r
+        return _reduced(f, vec, self.den * other.den)
 
     def __pow__(self, e: int):
         if e < 0:
@@ -177,22 +199,22 @@ class CycloElement:
                 raise ValueError("elements of different cyclotomic fields")
             return other
         if isinstance(other, (int, Fraction)):
-            return self.field.element((other,))
+            return self.field.element(other)
         return NotImplemented
 
     __radd__ = __add__
     __rmul__ = __mul__
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self):
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def conjugate(self):
         return self.field.galois(self, -1 % self.field.m if self.field.m > 1 else 1)
@@ -206,12 +228,12 @@ class CycloElement:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = self.field.element((other,))
+            other = self.field.element(other)
         return (isinstance(other, CycloElement) and self.field is other.field
-                and self.coeffs == other.coeffs)
+                and self.den == other.den and self.num == other.num)
 
     def __hash__(self):
-        return hash((self.field.m, self.coeffs))
+        return hash((self.field.m, self.num, self.den))
 
     def __repr__(self):
         out = ""
@@ -227,6 +249,26 @@ class CycloElement:
                 body = z if mag == 1 else f"{mag}*{z}"
             out += f"{sign} {body} " if out else f"{sign}{body} "
         return out.strip() if out else "0"
+
+
+def _reduced(field, num, den: int) -> CycloElement:
+    """num / den brought to canonical form (den > 0 on every caller)."""
+    g = math.gcd(den, *num)
+    if g != 1:
+        num = [c // g for c in num]
+        den //= g
+    return CycloElement(field, num, den)
+
+
+def _combine(x: CycloElement, y: CycloElement, sign: int) -> CycloElement:
+    """x + sign * y over the least common denominator."""
+    if x.den == y.den:
+        return _reduced(x.field, [a + sign * b for a, b in zip(x.num, y.num)],
+                        x.den)
+    g = math.gcd(x.den, y.den)
+    sx, sy = y.den // g, sign * (x.den // g)
+    return _reduced(x.field, [a * sx + b * sy for a, b in zip(x.num, y.num)],
+                    x.den * sx)
 
 
 def frobenius(m: int, q: int) -> int:
@@ -309,16 +351,16 @@ class CycloPrime:
         """Image of x in the residue field; error if q divides a denominator."""
         if x.field.m != self.m:
             raise ValueError("conductor mismatch")
+        q = self.q
+        if x.den % q == 0:
+            raise ValueError(f"denominator divisible by q = {q}")
+        den_inv = pow(x.den, -1, q)
         field = self.zbar.field
         acc = field.zero()
         zpow = field.one()
-        for c in x.coeffs:
+        for c in x.num:
             if c:
-                if c.denominator % self.q == 0:
-                    raise ValueError(f"denominator divisible by q = {self.q}")
-                num = c.numerator % self.q
-                den_inv = pow(c.denominator % self.q, -1, self.q)
-                acc = acc + zpow * ((num * den_inv) % self.q)
+                acc = acc + zpow * (c * den_inv % q)
             zpow = zpow * self.zbar
         return acc
 
@@ -364,15 +406,18 @@ class Datum:
         """Primes where valuations cannot be read off the rational part."""
         bad = set()
         n = self.cyc.norm()
-        for v in (n.numerator, n.denominator):
+        for v in (n.numerator, n.denominator, self.cyc.den):
             bad.update(sympy.primefactors(abs(v)))
-        for c in self.cyc.coeffs:
-            bad.update(sympy.primefactors(c.denominator))
         return bad
 
     def v_q(self, q: int) -> int:
-        """q-adic valuation, defined only away from the core support."""
-        if q in self.core_support():
+        """q-adic valuation, defined only away from the core support.
+
+        q must be prime: the core-support test is divisibility of the norm's
+        numerator or denominator, or of the core's denominator, by q.
+        """
+        n = self.cyc.norm()
+        if any(v and v % q == 0 for v in (n.numerator, n.denominator, self.cyc.den)):
             raise ValueError(f"valuation at q = {q} not readable from the rational part")
         v = 0
         num, den = self.rat.numerator, self.rat.denominator

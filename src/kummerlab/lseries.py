@@ -42,15 +42,20 @@ def value_field(*reps: IsobaricRep):
 
 
 def root_of_unity(field, angle: Fraction):
-    """exp(2 pi i angle) as an exact element of the field."""
-    angle = Fraction(angle) % 1
+    """exp(2 pi i angle) as an exact element of the field.
+
+    zeta_m^k is read from the field's power table, which folds k mod m, so
+    the angle needs no reduction mod 1.
+    """
+    if not isinstance(angle, Fraction):
+        angle = Fraction(angle)
     d = angle.denominator
     m = field.m
     if m % d == 0:
-        return field.zeta() ** (angle.numerator * (m // d))
-    if d % 2 == 0 and (d // 2) > 0 and m % (d // 2) == 0 and d // 2 % 2 == 1:
+        return field.zeta_power(angle.numerator * (m // d))
+    k = d // 2
+    if d % 2 == 0 and k % 2 == 1 and m % k == 0:
         # zeta_2k = -zeta_k^((k+1)/2) for odd k
-        k = d // 2
         inner = Fraction(angle.numerator * ((k + 1) // 2), k)
         return -root_of_unity(field, inner)
     raise ValueError(f"order {d} root does not live in Q(zeta_{m})")

@@ -213,6 +213,9 @@ class PrimeTrace:
 
     def places(self, level: int) -> tuple[tuple[int, int], ...]:
         """Sorted (norm-exponent, count) pairs at a level."""
+        if self.ramified:
+            raise ValueError(f"q = {self.prime.q} ramifies in the tower; "
+                             "a ramified trace has no place data")
         agg: dict[int, int] = {}
         for b in self.branches[level]:
             agg[b.exp] = agg.get(b.exp, 0) + b.count
@@ -343,11 +346,11 @@ def _int_phi_roots(m: int, q: int) -> list[int]:
 
 
 def _int_image(datum: Datum, q: int, zbar: int) -> int:
+    cyc, rat = datum.cyc, datum.rat
     acc = 0
-    for c in reversed(datum.cyc.coeffs):
-        acc = (acc * zbar + c.numerator * pow(c.denominator, -1, q)) % q
-    acc = (acc * datum.rat.numerator * pow(datum.rat.denominator, -1, q)) % q
-    return acc
+    for c in reversed(cyc.num):
+        acc = (acc * zbar + c) % q
+    return acc * rat.numerator * pow(cyc.den * rat.denominator, -1, q) % q
 
 
 @dataclass(frozen=True)

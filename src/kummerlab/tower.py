@@ -103,7 +103,7 @@ def _pre_step_gives_mu(d: Datum, p: int) -> bool:
         return False
     if f.m % p != 0:
         return False
-    z_p = f.zeta() ** (f.m // p)
+    z_p = f.zeta_power(f.m // p)
     probe = val
     for _ in range(1, p):
         probe = probe * z_p

@@ -137,6 +137,16 @@ def test_split_trace_csv_exact(capsys):
                    "1,1,0,1,1\n1,1,1,1,2\n1,1,2,1,4\n")
 
 
+def test_split_trace_ramified_report(capsys):
+    # 3 divides the datum once: ramified, so the report has no place rows
+    code, out = run(["split", "trace", "--m", "4", "--p", "2", "--r", "1",
+                     "--alpha", "3", "--q", "3"], capsys)
+    assert code == 0
+    assert out == ('{\n  "kind": "trace-report",\n  "primes_above": 1,\n'
+                   '  "q": 3,\n  "ramified": true,\n  "rows": [],\n'
+                   '  "schema": 1,\n  "threads": 1\n}\n')
+
+
 def test_split_density_report(capsys):
     code, out = run(["split", "density", "--m", "4", "--p", "2",
                      "--alpha", "1+z", "--X", "5000"], capsys)

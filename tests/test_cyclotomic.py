@@ -1,5 +1,7 @@
 """Residue primes, reduction maps, and the (p, p) subfield lattice."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,6 +22,8 @@ from kummerlab.cyclotomic import (
     require_not_pth_power,
 )
 from kummerlab.finitefield import is_pth_power
+from kummerlab.lseries import root_of_unity
+from test_splitting import _run_optimized
 
 
 def test_cyclotomic_poly_frozen():
@@ -308,3 +312,152 @@ def test_power_tower_in_z8():
     assert (z ** 4).coeffs == (-1, 0, 0, 0)
     assert z ** 8 == F.one()
     assert (z ** 2 + z ** 6).is_zero()  # zeta_4 + zeta_4^-1 = 0
+
+
+# ---------------------------------------------------------------------------
+# integer arithmetic against the Fraction loops it replaced
+
+ORACLE_CONDUCTORS = (1, 2, 3, 4, 5, 8, 9, 12, 15, 16, 20, 24, 40, 60, 120)
+
+
+def _ref_rows(m):
+    """t^j mod Phi_m as Fraction vectors: the former power table."""
+    phi = cyclotomic_poly_coeffs(m)
+    deg = len(phi) - 1
+    rows, cur = [], [Fraction(1)] + [Fraction(0)] * (deg - 1)
+    for _ in range(max(m + 1, 2 * deg)):
+        rows.append(tuple(cur))
+        top = cur[-1]
+        cur = [Fraction(0)] + cur[:-1]
+        if top:
+            for i in range(deg):
+                cur[i] -= top * phi[i]
+    return rows
+
+
+def _ref_mul(rows, x, y):
+    deg = len(x)
+    conv = [Fraction(0)] * (2 * deg - 1)
+    for i, a in enumerate(x):
+        if a:
+            for j, b in enumerate(y):
+                if b:
+                    conv[i + j] += a * b
+    vec = list(conv[:deg])
+    for j in range(deg, 2 * deg - 1):
+        c = conv[j]
+        if c:
+            for i, r in enumerate(rows[j]):
+                vec[i] += c * r
+    return tuple(vec)
+
+
+def _ref_galois(rows, m, x, a):
+    vec = [Fraction(0)] * len(x)
+    for j, c in enumerate(x):
+        if c:
+            for i, r in enumerate(rows[(a * j) % m]):
+                vec[i] += c * r
+    return tuple(vec)
+
+
+def _ref_repr(coeffs):
+    out = ""
+    for i, c in enumerate(coeffs):
+        if not c:
+            continue
+        sign = "-" if c < 0 else ("+" if out else "")
+        mag = abs(c)
+        if i == 0:
+            body = str(mag)
+        else:
+            z = "z" if i == 1 else f"z^{i}"
+            body = z if mag == 1 else f"{mag}*{z}"
+        out += f"{sign} {body} " if out else f"{sign}{body} "
+    return out.strip() if out else "0"
+
+
+def _random_coeffs(rng, deg):
+    """Mixed denominators, about a third of the entries zero."""
+    return tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4, 6, 35)))
+                 if rng.random() < 0.7 else Fraction(0) for _ in range(deg))
+
+
+def _assert_canonical(x):
+    assert len(x.num) == x.field.degree and x.den >= 1
+    assert all(type(c) is int for c in x.num) and type(x.den) is int
+    assert math.gcd(x.den, *x.num) == 1
+
+
+@pytest.mark.parametrize("m", ORACLE_CONDUCTORS)
+def test_integer_arithmetic_matches_fraction_oracle(m):
+    F = CycloField(m)
+    deg, rows = F.degree, _ref_rows(m)
+    rng = random.Random(m)
+    vecs = [(Fraction(0),) * deg, (Fraction(1),) + (Fraction(0),) * (deg - 1)]
+    vecs += [_random_coeffs(rng, deg) for _ in range(4)]
+    elems = [F.element(v) for v in vecs]
+    for v, x in zip(vecs, elems):
+        _assert_canonical(x)
+        assert x.coeffs == v and repr(x) == _ref_repr(v)
+        # longer inputs fold through the table
+        long = v + _random_coeffs(rng, deg)
+        folded = [Fraction(0)] * deg
+        for j, c in enumerate(long):
+            for i, r in enumerate(rows[j % m] if j >= deg else rows[j]):
+                folded[i] += c * r
+        assert F.element(long).coeffs == tuple(folded)
+        for a in F.units():
+            g = F.galois(x, a)
+            _assert_canonical(g)
+            assert g.coeffs == _ref_galois(rows, m, v, a)
+        ref_norm = (Fraction(1),) + (Fraction(0),) * (deg - 1)
+        for a in F.units():
+            ref_norm = _ref_mul(rows, ref_norm, _ref_galois(rows, m, v, a))
+        assert x.norm() == ref_norm[0]
+    for v, x in zip(vecs, elems):
+        for w, y in zip(vecs, elems):
+            for got, want in ((x * y, _ref_mul(rows, v, w)),
+                              (x + y, tuple(a + b for a, b in zip(v, w))),
+                              (x - y, tuple(a - b for a, b in zip(v, w)))):
+                _assert_canonical(got)
+                assert got.coeffs == want and repr(got) == _ref_repr(want)
+        for r in (0, 3, Fraction(-5, 6)):
+            assert (x * r).coeffs == tuple(c * r for c in v)
+
+
+@pytest.mark.parametrize("m", ORACLE_CONDUCTORS)
+def test_root_of_unity_reads_power_table(m):
+    F = CycloField(m)
+    z = F.zeta()
+    for k in range(m):
+        assert root_of_unity(F, Fraction(k, m)) == z ** k
+        assert root_of_unity(F, Fraction(k, m) - 2) == z ** k
+        assert root_of_unity(F, Fraction(k + m, m)) == z ** k
+        assert F.zeta_power(k + m) == z ** k
+        if m % 2:
+            # exp(pi i j / m) for odd j and m: a square root of zeta^j,
+            # namely -zeta^(j (m + 1) / 2)
+            j = 2 * k + 1
+            r = root_of_unity(F, Fraction(j, 2 * m))
+            assert r ** 2 == z ** j and r == -(z ** (j * (m + 1) // 2))
+
+
+_NON_CANONICAL = """
+from fractions import Fraction
+from kummerlab.cyclotomic import CycloElement, CycloField
+F = CycloField(4)
+for num, den in (((2, 4), 2), ((0, 0), 3), ((1, 0), 0), ((1, 0), -1),
+                 ((1,), 1), ((Fraction(1, 2), 0), 1)):
+    try:
+        CycloElement(F, num, den)
+    except (ValueError, TypeError) as e:
+        print(type(e).__name__)
+print(CycloElement(F, (2, 3), 5))
+"""
+
+
+def test_noncanonical_element_raises_under_optimize():
+    assert _run_optimized(_NON_CANONICAL) == [
+        "ValueError", "ValueError", "ValueError", "ValueError", "ValueError",
+        "TypeError", "2/5 + 3/5*z"]

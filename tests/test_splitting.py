@@ -236,7 +236,10 @@ def test_trace_agreement_with_certificate():
 def test_trace_ramified_flag():
     step = kummer_step(1, 2, Datum.of(6))
     (P3,) = cyclo_primes_above(1, 3)
-    assert trace_prime(step, P3).ramified
+    trace = trace_prime(step, P3)
+    assert trace.ramified
+    with pytest.raises(ValueError, match="ramified trace has no place data"):
+        trace.places(0)
 
 
 def test_compositum_fold_bound():
