@@ -9,6 +9,8 @@ Two distinct Dirichlet characters can induce the same character of K: chi
 and chi' agree on all place norms iff chi/chi' kills the subgroup of (Z/N)^*
 generated by those norms.  Equality, normalization and twist searches are
 therefore always taken relative to the field tag, through norm_subgroup.
+Two sums' components are matched in one place, `pair_components`; equality
+of sums, the pole book and the determination's peeling and descent read it.
 
 A field tag is 1 (the rationals), a conductor m (the m-th cyclotomic field),
 or a single-datum Kummer step; place norms for each come from the splitting
@@ -363,18 +365,12 @@ class IsobaricRep:
                               for c, m in self.components], self.t, self.field)
 
     def __eq__(self, other):
-        # normalized reps have pairwise non-equal components, so matching
-        # each component to a norm-equal partner of equal multiplicity is
-        # exact equality over the tagged field
         if not (isinstance(other, IsobaricRep) and self.field == other.field
                 and self.t == other.t
                 and len(self.components) == len(other.components)):
             return False
-        for chi, m in self.components:
-            if not any(m == m2 and norm_equal(chi, chi2)
-                       for chi2, m2 in other.components):
-                return False
-        return True
+        pairs, left, right = pair_components(self, other)
+        return not (left or right) and all(m == m2 for _, m, _, m2 in pairs)
 
     def __hash__(self):
         # equality is norm-relative, so hash only what it preserves
@@ -423,6 +419,28 @@ def make_isobaric(components, t=0, field=None) -> IsobaricRep:
             merged.append([chi, m])
     merged.sort(key=lambda s: s[0].key())
     return IsobaricRep(tuple((c, m) for c, m in merged), Fraction(t), field)
+
+
+def pair_components(pi: IsobaricRep, pi2: IsobaricRep):
+    """Match the components of two sums over one field: (pairs, left, right).
+
+    A normalized sum's components are pairwise unequal over its field, so
+    each component has at most one partner on the other side.  `pairs` holds
+    (chi, m, chi2, m2) in pi's order; `left` and `right` hold each side's
+    unpaired (chi, m) in its own order, which is canonical key order.
+    """
+    if pi.field != pi2.field:
+        raise ValueError("the pair must live over one field")
+    right = list(pi2.components)
+    pairs, left = [], []
+    for chi, m in pi.components:
+        j = next((j for j, (chi2, _) in enumerate(right)
+                  if norm_equal(chi, chi2)), None)
+        if j is None:
+            left.append((chi, m))
+        else:
+            pairs.append((chi, m) + right.pop(j))
+    return tuple(pairs), tuple(left), tuple(right)
 
 
 # ---------------------------------------------------------------------------
@@ -538,12 +556,11 @@ def lrs_check(A: SatakeClass, n: int, q_v: int) -> bool:
     return all(tp < cap for _, tp in A.eigenvalues)
 
 
-def twist_equivalent(pi: IsobaricRep, pi2: IsobaricRep,
-                     extra_bound: int = 1):
+def twist_equivalent(pi: IsobaricRep, pi2: IsobaricRep):
     """A character chi with pi2 = pi (x) chi, or None.
 
-    Searched over characters of modulus dividing the lcm of all conductors
-    times extra_bound; a model completeness cutoff, not a theorem statement.
+    Searched over characters of modulus dividing the lcm of all conductors;
+    a model completeness cutoff, not a theorem statement.
     """
     if pi.n != pi2.n:
         raise ValueError("twist equivalence needs equal degrees")
@@ -552,7 +569,6 @@ def twist_equivalent(pi: IsobaricRep, pi2: IsobaricRep,
         for chi, _ in rep.components:
             c = chi.conductor()
             L = L * c // math.gcd(L, c)
-    L *= extra_bound
     if L > TWIST_SEARCH_BOUND:
         raise ValueError("twist search modulus exceeds the configured bound")
     for chi in dirichlet_characters(L, pi.field):

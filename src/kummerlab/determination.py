@@ -6,8 +6,10 @@ given quadratic (or cyclotomic) base so inert primes land in high-degree
 places, compare two isobaric sums place by place below the tail threshold,
 descend a top-level equality step by step with fresh-prime twist
 elimination, and close over the base field by the split-in-the-compositum
-transport.  Verdicts are exact -- the character model decides equality --
-and slope measurements corroborate them numerically.
+transport.  The twist class then follows from equality: the twisting
+character is the trivial one, so no twist search runs.  Verdicts are exact
+-- the character model decides equality -- and slope measurements
+corroborate them numerically.
 
 Two honest limitations are surfaced rather than papered over.  For p = 2 a
 quadratic step above a field containing i can never stay inert at primes
@@ -37,10 +39,10 @@ from .automorphic import (
     components_match,
     digest,
     make_isobaric,
+    pair_components,
     ramified_primes,
     satake,
     twist_eliminate,
-    twist_equivalent,
 )
 from .cyclotomic import (
     CycloField,
@@ -604,27 +606,19 @@ def _realizable_degrees(field_desc) -> set[int] | None:
 
 
 def _peel(pi: IsobaricRep, pi2: IsobaricRep):
-    """Peel matched components one copy at a time, in canonical key order."""
-    left = {chi: m for chi, m in pi.components}
-    right = {c2: m for c2, m in pi2.components}
+    """Peel min(m, m2) copies of each matched pair, in canonical key order."""
+    pairs, left, right = pair_components(pi, pi2)
     peeled = []
-    progress = True
-    while progress:
-        progress = False
-        for chi in sorted(left, key=lambda c: c.key()):
-            partner = next((c2 for c2 in right if c2 == chi), None)
-            if partner is None:
-                continue
-            peeled.append(chi.key())
-            for table, k in ((left, chi), (right, partner)):
-                table[k] -= 1
-                if not table[k]:
-                    del table[k]
-            progress = True
-            break
-    res_l = tuple(sorted((c.key(), m) for c, m in left.items()))
-    res_r = tuple(sorted((c.key(), m) for c, m in right.items()))
-    return tuple(peeled), (res_l, res_r)
+    res_l = [(chi.key(), m) for chi, m in left]
+    res_r = [(chi2.key(), m2) for chi2, m2 in right]
+    for chi, m, chi2, m2 in pairs:
+        k = min(m, m2)
+        peeled.extend([chi.key()] * k)
+        if m > k:
+            res_l.append((chi.key(), m - k))
+        if m2 > k:
+            res_r.append((chi2.key(), m2 - k))
+    return tuple(peeled), (tuple(sorted(res_l)), tuple(sorted(res_r)))
 
 
 def determination_experiment(pi: IsobaricRep, pi2: IsobaricRep,
@@ -774,19 +768,9 @@ def descend_chain(pi: IsobaricRep, pi2: IsobaricRep,
                              "chain top are not equal")
     # pair matching components over K first; cross-pair any leftovers in
     # canonical key order
-    rest = [c2 for c2, _ in pi2.components]
-    pairing = []
-    leftovers = []
-    for chi, _ in pi.components:
-        partner = next((c2 for c2 in rest if c2 == chi), None)
-        if partner is None:
-            leftovers.append(chi)
-            continue
-        pairing.append((chi.key(), partner.key()))
-        rest.remove(partner)
-    for chi, c2 in zip(sorted(leftovers, key=lambda c: c.key()),
-                       sorted(rest, key=lambda c: c.key())):
-        pairing.append((chi.key(), c2.key()))
+    pairs, left, right = pair_components(pi, pi2)
+    pairing = [(chi, chi2) for chi, _, chi2, _ in pairs]
+    pairing += [(chi, chi2) for (chi, _), (chi2, _) in zip(left, right)]
     used = {plan.p}
     for rep in (pi, pi2):
         for chi, _ in rep.components:
@@ -803,16 +787,12 @@ def descend_chain(pi: IsobaricRep, pi2: IsobaricRep,
     steps = []
     for i, (ell, power) in enumerate(fresh):
         delta = character_of_order(ell, plan.p, pi.field)
-        exps = []
-        for k1, k2 in pairing:
-            eta = _component_by_key(pi, k1)
-            eta2 = _component_by_key(pi2, k2)
-            exps.append(twist_eliminate(eta, eta2, delta, ell))
-        steps.append(DescentStep(level=r - i, fresh_prime=ell,
-                                 multiplier_power=power,
-                                 delta_key=delta.key(),
-                                 pairs=tuple(pairing),
-                                 exponents=tuple(exps)))
+        steps.append(DescentStep(
+            level=r - i, fresh_prime=ell, multiplier_power=power,
+            delta_key=delta.key(),
+            pairs=tuple((eta.key(), eta2.key()) for eta, eta2 in pairing),
+            exponents=tuple(twist_eliminate(eta, eta2, delta, ell)
+                            for eta, eta2 in pairing)))
     conclusion = ("equality descends to the compositum level"
                   if plan.kind == "forked"
                   else "equality descends to K")
@@ -953,10 +933,12 @@ def run_pipeline(K_desc, pi: IsobaricRep, pi2: IsobaricRep, X: int = 10 ** 4,
                  slope_cutoff: int | None = None) -> PipelineReport:
     """Normalize, plan, compare, descend, and classify the pair over K.
 
-    Verdicts: EQUAL / TWIST-EQUIVALENT (exit 0), NOT-HYPOTHESIS with a
-    witness prime (exit 2), INCONCLUSIVE (exit 3).  Every executed stage
-    leaves an immutable certificate in the report; a failed hypothesis
-    truncates the stage list at the comparison.
+    Verdicts: EQUAL (exit 0), NOT-HYPOTHESIS with a witness prime (exit 2),
+    INCONCLUSIVE (exit 3).  Every executed stage leaves an immutable
+    certificate in the report; a failed hypothesis truncates the stage list
+    at the comparison.  The closing twist-class stage follows from equality:
+    base descent ends EQUAL only when the components match, so it records
+    the trivial character.
     """
     if pi.field != K_desc or pi2.field != K_desc:
         raise ValueError("the pair must be tagged with the given field")
@@ -1046,20 +1028,9 @@ def run_pipeline(K_desc, pi: IsobaricRep, pi2: IsobaricRep, X: int = 10 ** 4,
     if fin.verdict != "EQUAL":
         return report(fin.verdict)
 
-    chi = twist_equivalent(pi, pi2)
-    if chi is None:
-        emit("twist-class", None, "INCONCLUSIVE",
-             {"note": "no twisting character found below the bound"})
-        return report("INCONCLUSIVE")
-    corollary = None
-    if chi.is_trivial:
-        verdict = "EQUAL"
-        if p == 2:
-            corollary = ("p = 2: the twist class over K collapses, "
-                         "equality holds on the nose")
-    else:
-        verdict = "TWIST-EQUIVALENT"
-    emit("twist-class", None, verdict,
-         {"chi": {"modulus": chi.modulus, "order": chi.order,
-                  "trivial": chi.is_trivial}})
-    return report(verdict, corollary)
+    # base descent said EQUAL, so the components match: chi is trivial
+    emit("twist-class", None, "EQUAL",
+         {"chi": {"modulus": 1, "order": 1, "trivial": True}})
+    corollary = ("p = 2: the twist class over K collapses, equality holds "
+                 "on the nose") if p == 2 else None
+    return report("EQUAL", corollary)

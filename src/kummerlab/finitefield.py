@@ -8,18 +8,20 @@ from scratch, so the same (q, d) always yields bit-identical moduli.
 
 Elements are coefficient vectors (c_0, ..., c_{d-1}).  The canonical order on
 elements compares the integer key sum(c_i * q^i), which is the same as
-comparing (c_{d-1}, ..., c_0) lexicographically.  "Least root", "least
-non-p-th-power" and sorted root lists all refer to this order.
+comparing (c_{d-1}, ..., c_0) lexicographically.  "Least root" and sorted
+root lists refer to this order.
 
 Exponents are arbitrary-precision throughout.  Irreducibility is Ben-Or's
 test, which stops at the first factor degree it finds.  p-th roots come from
-one deterministic Adleman-Manders-Miller extractor, seeded here by the least
-non-p-th-power.  ``is_pth_power`` and ``pth_roots`` are generic: they serve
-the relative fields of ``kummerlab.splitting`` too.
+one deterministic Adleman-Manders-Miller extractor, seeded here by the first
+non-p-th-power in canonical order from t^(d-1) on (``ExtField.nonresidue``).
+``is_pth_power`` and ``pth_roots`` are generic: they serve the relative
+fields of ``kummerlab.splitting`` too.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 import sympy
@@ -172,10 +174,17 @@ class ExtField:
             self._order_fact = dict(sympy.factorint(self.size - 1))
         return self._order_fact
 
-    def least_nonresidue(self, p: int) -> "FFElement":
-        """Least element (canonical order) that is not a p-th power."""
+    def nonresidue(self, p: int) -> "FFElement":
+        """The first non-p-th power in canonical order from t^(d-1) on.
+
+        The scan wraps round, so the prime subfield (for d >= 2 usually all
+        p-th powers) comes last.  It seeds `pth_roots`, whose root set does
+        not depend on it.
+        """
         if p not in self._nonres:
-            for n in range(1, self.size):
+            start = self.q ** (self.d - 1)
+            for n in itertools.chain(range(start, self.size),
+                                     range(1, start)):
                 x = self.from_index(n)
                 if not is_pth_power(x, p):
                     self._nonres[p] = x
@@ -348,7 +357,7 @@ def pth_roots(x, p: int) -> list:
     """All y with y^p = x in x's own field, sorted by ``key()``.
 
     Length 0, 1 or p.  Generic: beyond what `amm_pth_roots` needs, the field
-    gives ``zero()`` and ``least_nonresidue(p)``, the AMM seed.
+    gives ``zero()`` and ``nonresidue(p)``, the AMM seed.
     """
     field = x.field
     if x.is_zero():
@@ -358,7 +367,7 @@ def pth_roots(x, p: int) -> list:
         return [x ** pow(p, -1, n_)]
     if not is_pth_power(x, p):
         return []
-    return amm_pth_roots(x, p, field.least_nonresidue(p))
+    return amm_pth_roots(x, p, field.nonresidue(p))
 
 
 def amm_pth_roots(x, p: int, z) -> list:

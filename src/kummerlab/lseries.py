@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field as dfield
 from fractions import Fraction
 
-from .automorphic import IsobaricRep, ramified_primes
+from .automorphic import IsobaricRep, pair_components, ramified_primes
 from .cyclotomic import CycloField
 from .splitting import place_table
 
@@ -219,11 +219,8 @@ def pole_book(pi: IsobaricRep, pi2: IsobaricRep) -> PoleBook:
     _unitary_pair(pi, pi2)
     mu = sum(m * m for _, m in pi.components)
     mu2 = sum(m * m for _, m in pi2.components)
-    shared = 0
-    for chi, m in pi.components:
-        for chi2, m2 in pi2.components:
-            if chi == chi2:       # field-relative character equality
-                shared += m * m2
+    pairs, _, _ = pair_components(pi, pi2)
+    shared = sum(m * m2 for _, m, _, m2 in pairs)
     return PoleBook(mu, mu2, shared)
 
 

@@ -101,7 +101,7 @@ class RelField:
     def embed(self, x):
         return RElement(self, (x,) + (self.parent.zero(),) * (self.p - 1))
 
-    def least_nonresidue(self, p: int) -> "RElement":
+    def nonresidue(self, p: int) -> "RElement":
         """A non-p-th power, the first found counting up from the generator.
 
         Seeds `finitefield.pth_roots`, whose root set does not depend on it.
@@ -368,11 +368,14 @@ def degree1_density(step: KummerTower, X: int) -> DensityReport:
 
     Degree-1 means residue degree 1 over the rationals: the base prime has
     f = 1 and the step splits.  Finitely many primes (q = p, conductor and
-    datum support: `bad_primes`) are excluded.
+    datum support: `bad_primes`) are excluded.  The step needs mu_p in its
+    base: p = 2 or p | m.
     """
     p, m = step.p, step.m
     if step.pre_steps:
         raise ValueError("density is for bare steps")
+    if p != 2 and m % p:
+        raise ValueError(f"mu_{p} not contained in Q(zeta_{m})")
     skip = bad_primes(m, p, (step.datum,))
     deg1 = total = 0
     for q in sympy.primerange(2, X + 1):

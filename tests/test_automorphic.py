@@ -18,6 +18,7 @@ from kummerlab.automorphic import (
     lrs_check,
     make_isobaric,
     norm_equal,
+    pair_components,
     place_norms,
     satake,
     twist_eliminate,
@@ -181,6 +182,30 @@ def test_base_change_transitivity():
     assert base_change(base_change(pi, 4), 8) == base_change(pi, 8)
     with pytest.raises(ValueError, match="unsupported"):
         base_change(base_change(pi, 4), 3)
+
+
+def test_pair_components_multiplicities_and_leftovers():
+    chi5 = character_of_order(5, 4)
+    chi3 = character_of_order(3, 2)
+    pi = make_isobaric([(TRIV, 2), (CHI4, 1), (chi5, 1)])
+    pi2 = make_isobaric([(CHI4, 3), (chi3, 1), (TRIV, 1)])
+    pairs, left, right = pair_components(pi, pi2)
+    assert [(a.key(), m, b.key(), m2) for a, m, b, m2 in pairs] == [
+        (TRIV.key(), 2, TRIV.key(), 1), (CHI4.key(), 1, CHI4.key(), 3)]
+    assert [(c.key(), m) for c, m in left] == [(chi5.key(), 1)]
+    assert [(c.key(), m) for c, m in right] == [(chi3.key(), 1)]
+    # over Q(i) chi8 and chi4 chi8 are one character: partners keep their
+    # own Dirichlet characters, and unequal multiplicities break equality
+    up = make_isobaric([(CHI8, 2), (chi5, 1)], field=4)
+    up2 = make_isobaric([(CHI4 * CHI8, 1), (chi5, 1), (chi3, 1)], field=4)
+    pairs, left, right = pair_components(up, up2)
+    assert [(a.key(), m, b.key(), m2) for a, m, b, m2 in pairs] == [
+        (chi5.key(), 1, chi5.key(), 1), (CHI8.key(), 2, (CHI4 * CHI8).key(), 1)]
+    assert left == () and [(c.key(), m) for c, m in right] == [(chi3.key(), 1)]
+    assert up != make_isobaric([(CHI4 * CHI8, 1), (chi5, 2)], field=4)
+    assert up == make_isobaric([(CHI4 * CHI8, 2), (chi5, 1)], field=4)
+    with pytest.raises(ValueError, match="one field"):
+        pair_components(pi, up)
 
 
 def test_norm_equality_examples():

@@ -1,7 +1,10 @@
 """Command-line surface: literals, reports, formats, exit codes."""
 
+import hashlib
 import json
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +19,8 @@ from kummerlab.cyclotomic import CycloField, Datum
 from kummerlab.tower import KummerTower
 
 QI = 4
+K3 = parse_field("Q(sqrt 3)")
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(argv, capsys):
@@ -42,6 +47,7 @@ def pairs(tmp_path_factory):
         "equal": (_rep([triv, chi], QI), _rep([triv, chi], QI)),
         "twisted": (_rep([triv, chi], QI), _rep([delta, chi * delta], QI)),
         "small": (_rep([triv, chi8], QI), _rep([d13, chi8 * d13], QI)),
+        "forked": (_rep([triv, chi], K3), _rep([chi, triv], K3)),
         "rational": (_rep([NormCharacter.trivial(1)], 1),
                      _rep([dirichlet_characters(4)[1]], 1)),
     }
@@ -267,6 +273,40 @@ def test_theorem_a_inconclusive(pairs, capsys):
     assert json.loads(out)["verdict"] == "INCONCLUSIVE"
 
 
+# frozen sha256 of the theorem-a stdout: reports stay byte-identical
+@pytest.mark.parametrize("name,K,extra,code,digest", [
+    ("equal", "Q(i)", ["--X", "2000"], 0,
+     "cbd8f37e717bfe05a723593b64dcff05c6205d761baf77aaec77527c8f9aee2f"),
+    ("forked", "Q(sqrt3)", [], 0,
+     "f4cc29972e9ed0319c0a54faac3d59e2a054983e603be1d65f7ad45d049ab61f"),
+    ("twisted", "Q(i)", ["--X", "2000"], 2,
+     "2a78790c9c1992497c4c54bef64fa38c8e0e36e111df512b083b09340447ac9c"),
+], ids=["single-chain-equal", "forked-equal", "not-hypothesis"])
+def test_theorem_a_golden_reports(pairs, name, K, extra, code, digest,
+                                  capsys):
+    got, out = run(["theorem-a", "--K", K, "--pair", pairs[name]] + extra,
+                   capsys)
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_theorem_a_equal_pair_past_twist_bound(tmp_path, capsys):
+    # the conductors' lcm 101 * 103 exceeds the twist search bound; an equal
+    # pair needs no search, so the pipeline still ends EQUAL
+    rep = _rep([character_of_order(101, 2), character_of_order(103, 2)], QI)
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"pi": rep.to_json(), "pi2": rep.to_json()}))
+    code, out = run(["theorem-a", "--K", "Q(i)", "--pair", str(path),
+                     "--X", "200"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["verdict"] == "EQUAL"
+    last = doc["stages"][-1]
+    assert (last["name"], last["verdict"]) == ("twist-class", "EQUAL")
+    assert last["certificate"] == {
+        "chi": {"modulus": 1, "order": 1, "trivial": True}}
+
+
 def test_descent_run_report(pairs, capsys):
     code, out = run(["descent", "run", "--K", "Q(i)",
                      "--pair", pairs["equal"]], capsys)
@@ -304,8 +344,11 @@ def test_negative_data_space_form(argv, flag, value, capsys):
     ["theorem-a", "--K", "Q(i)", "--pair", "nowhere.json"],
     ["split", "classify", "--m", "4", "--p", "2", "--alpha", "1+z",
      "--q", "13", "--r", "2"],
+    ["split", "density", "--m", "1", "--p", "3", "--alpha", "2",
+     "--X", "200"],
 ], ids=["unknown", "bare-group", "missing-alpha", "zero-n", "zero-threads",
-        "csv-no-rows", "bad-field", "missing-pair", "classify-height"])
+        "csv-no-rows", "bad-field", "missing-pair", "classify-height",
+        "density-no-mu-p"])
 def test_invalid_parameters_exit_64(argv, capsys):
     code, _ = run(argv, capsys)
     assert code == 64
@@ -372,3 +415,13 @@ def test_reports_byte_identical(pairs, tmp_path, capsys, monkeypatch):
                      "--X", "500", "--M", "50", "--exclude", "2",
                      "--format", "csv"], capsys)
     assert first == second
+
+
+def test_readme_examples_exit_0(capsys):
+    # every command line in the README that needs no pair file
+    lines = [line.strip() for line in README.read_text().splitlines()]
+    commands = [line for line in lines
+                if line.startswith("kummerlab ") and "--pair" not in line]
+    assert len(commands) >= 6
+    for line in commands:
+        assert run(shlex.split(line)[1:], capsys)[0] == 0, line

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import random
 
 import pytest
 import sympy
@@ -18,6 +19,7 @@ from kummerlab.automorphic import (
 from kummerlab.cyclotomic import CycloField, Datum, cyclo_primes_above
 from kummerlab.determination import (
     EXIT_CODES,
+    _peel,
     build_L,
     check_agreement,
     choose_tower_height,
@@ -381,6 +383,47 @@ def test_experiment_isomorphic_frozen():
     assert exp.slope is None and exp.slope_consistent is None
 
 
+def _peel_reference(pi, pi2):
+    """Peel one matched copy at a time, restarting from the least key."""
+    left = {chi: m for chi, m in pi.components}
+    right = {c2: m for c2, m in pi2.components}
+    peeled = []
+    while True:
+        match = next(((chi, c2) for chi in sorted(left, key=lambda c: c.key())
+                      for c2 in right if c2 == chi), None)
+        if match is None:
+            break
+        peeled.append(match[0].key())
+        for table, k in zip((left, right), match):
+            table[k] -= 1
+            if not table[k]:
+                del table[k]
+    return tuple(peeled), (tuple(sorted((c.key(), m) for c, m in left.items())),
+                           tuple(sorted((c.key(), m) for c, m in right.items())))
+
+
+def test_peel_matches_copy_by_copy_reference():
+    # over Q(i) chi and chi * chi4 are one character, so partners may differ
+    # as Dirichlet characters; multiplicities differ and both sides keep
+    # leftovers
+    chi5 = character_of_order(5, 4)
+    pool = [TRIV, CHI4, CHI8, CHI8 * CHI4, chi5, chi5 * CHI4,
+            character_of_order(3, 2), character_of_order(13, 2)]
+    rng = random.Random(5)
+    for _ in range(40):
+        sides = [make_isobaric([(rng.choice(pool), rng.randint(1, 3))
+                                for _ in range(rng.randint(1, 4))], field=QI)
+                 for _ in range(2)]
+        assert _peel(*sides) == _peel_reference(*sides)
+    pi = make_isobaric([(TRIV, 3), (CHI8, 1), (chi5, 2)], field=QI)
+    pi2 = make_isobaric([(CHI4, 1), (CHI8 * CHI4, 2),
+                         (character_of_order(3, 2), 1)], field=QI)
+    assert _peel(pi, pi2) == (
+        (TRIV.key(), CHI8.key()),
+        (((TRIV.key(), 2), (chi5.key(), 2)),
+         (((3, 2, (0, 1)), 1), ((CHI8 * CHI4).key(), 1))))
+
+
 def test_experiment_not_hypothesis_with_slope():
     pi = make_isobaric([(CHI4, 2)])
     pi2 = make_isobaric([(TRIV, 1), (CHI4, 1)])
@@ -466,6 +509,16 @@ def test_descend_premise_negative_control():
     pi_tw = _gauss_pair(chi5, delta=character_of_order(3, 2))
     with pytest.raises(ValueError, match="chain top are not equal"):
         descend_chain(pi, pi_tw, build_L(QI, 2))
+
+
+def test_descend_cross_paired_leftovers_admit_no_exponent():
+    # chi8 dies at the chain top Q(zeta_8) but not over Q(i): the base
+    # changes agree, the sums share no component over Q(i), and the
+    # leftovers, cross-paired in key order, admit no twist exponent
+    chi5 = character_of_order(5, 4)
+    pi, pi2 = _gauss_pair(chi5), _gauss_pair(chi5, delta=CHI8)
+    with pytest.raises(ValueError, match="no twist exponent matches"):
+        descend_chain(pi, pi2, build_L(QI, 2))
 
 
 def test_descend_passthrough_direct():
