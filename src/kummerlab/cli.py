@@ -13,6 +13,7 @@ inconclusive certificate, 64 invalid parameters.
 from __future__ import annotations
 
 import argparse
+import ast
 import csv
 import io
 import json
@@ -20,8 +21,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-
-import sympy
+from functools import cache, reduce
 
 from .cyclotomic import (
     CycloField,
@@ -96,23 +96,63 @@ def parse_field(text: str):
         "or a conductor")
 
 
+def _poly_add(a: dict, b: dict) -> dict:
+    return {k: c for k in a.keys() | b.keys() if (c := a.get(k, 0) + b.get(k, 0))}
+
+
+def _poly_mul(a: dict, b: dict) -> dict:
+    return reduce(_poly_add, ({i + j: x * y for i, x in a.items()}
+                              for j, y in b.items()), {})
+
+
+def _poly_of(node, src: str) -> dict:
+    """{exponent: nonzero coefficient} of a whitelisted expression in z."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        # a decimal is exact: read from its source text, not the float
+        c = Fraction(node.value if type(node.value) is int
+                     else ast.get_source_segment(src, node).replace("_", ""))
+        return {0: c} if c else {}
+    if isinstance(node, ast.Name) and node.id == "z":
+        return {1: 1}
+    if isinstance(node, ast.UnaryOp) and type(node.op) in (ast.UAdd, ast.USub):
+        sign = -1 if isinstance(node.op, ast.USub) else 1
+        return _poly_mul(_poly_of(node.operand, src), {0: sign})
+    if not (isinstance(node, ast.BinOp) and type(node.op) in
+            (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)):
+        raise ValueError(f"{ast.get_source_segment(src, node)!r} is not allowed")
+    a, b = _poly_of(node.left, src), _poly_of(node.right, src)
+    if isinstance(node.op, (ast.Add, ast.Sub)):
+        return _poly_add(a, b if isinstance(node.op, ast.Add) else _poly_mul(b, {0: -1}))
+    if isinstance(node.op, ast.Mult):
+        return _poly_mul(a, b)
+    if b.keys() - {0}:
+        raise ValueError("a divisor or an exponent must not depend on z")
+    c = Fraction(b.get(0, 0))
+    if isinstance(node.op, ast.Div):
+        return _poly_mul(a, {0: 1 / c})
+    if c.denominator != 1 or c < 0:
+        raise ValueError("an exponent must be a non-negative integer")
+    out, e = {0: 1}, int(c)
+    while e:
+        out = _poly_mul(out, a) if e & 1 else out
+        a, e = _poly_mul(a, a), e >> 1
+    return out
+
+
 def parse_alpha(text: str, m: int) -> Datum:
-    """Rational literal or integer-coefficient polynomial in z over Q(zeta_m)."""
-    z = sympy.Symbol("z")
+    """Rational literal or polynomial in z over Q(zeta_m), never run as Python:
+    integer and decimal literals (decimals exact), z, + - * /, ** or ^ with a
+    non-negative integer exponent, signs and parentheses.  Degree 0 in z
+    (before z^m = 1) gives a rational datum."""
+    # ^ is a power, with the precedence of **, not Python's xor
+    src = text.strip().replace("^", "**")
     try:
-        expr = sympy.sympify(text, locals={"z": z}, rational=True)
-    except (sympy.SympifyError, SyntaxError, TypeError) as e:
-        raise ValueError(f"cannot parse alpha {text!r}") from e
-    if expr.free_symbols - {z}:
-        raise ValueError(f"alpha {text!r} may use no symbol besides z")
-    try:
-        poly = sympy.Poly(expr, z)
-    except sympy.PolynomialError as e:
-        raise ValueError(f"alpha {text!r} is not polynomial in z") from e
-    coeffs = [Fraction(int(c.p), int(c.q))
-              for c in reversed(poly.all_coeffs())]
-    if len(coeffs) == 1:
-        return Datum.of(coeffs[0], m=m)
+        poly = _poly_of(ast.parse(src, mode="eval").body, src)
+    except (SyntaxError, ValueError, ZeroDivisionError) as e:
+        raise ValueError(f"cannot parse alpha {text!r}: {e}") from e
+    if max(poly, default=0) == 0:
+        return Datum.of(poly.get(0, 0), m=m)
+    coeffs = [sum(c for k, c in poly.items() if k % m == j) for j in range(m)]
     return Datum(CycloField(m).element(coeffs))
 
 
@@ -463,7 +503,9 @@ def _add_pair_flags(sub, field_flag: str = "--field", default: str | None = "Q")
                      help="JSON file with 'pi' and 'pi2' documents")
 
 
+@cache
 def _build_parser() -> _Parser:
+    # built on first use, not at import, and kept for later main() calls
     common = _Parser(add_help=False)
     common.add_argument("--out", help="write the report here instead of stdout")
     common.add_argument("--format", choices=("json", "csv"), default="json")

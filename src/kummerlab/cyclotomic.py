@@ -22,11 +22,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import sympy
 
-from .finitefield import FFElement, is_pth_power, make_ext_field
+from .finitefield import FFElement, is_pth_power, make_ext_field, sylow_valuation
 
 DEFAULT_WITNESS_BOUND = 10 ** 4
 NORM_FACTOR_BOUND = 10 ** 12
@@ -402,13 +402,15 @@ class Datum:
     def scale(self, r) -> "Datum":
         return Datum(self.cyc, self.rat * Fraction(r))
 
+    @cached_property
+    def _core_ints(self) -> tuple[int, int, int]:
+        # the core's norm, worked out once, and its denominator
+        n = self.cyc.norm()
+        return n.numerator, n.denominator, self.cyc.den
+
     def core_support(self) -> set[int]:
         """Primes where valuations cannot be read off the rational part."""
-        bad = set()
-        n = self.cyc.norm()
-        for v in (n.numerator, n.denominator, self.cyc.den):
-            bad.update(sympy.primefactors(abs(v)))
-        return bad
+        return {ell for v in self._core_ints for ell in sympy.primefactors(abs(v))}
 
     def v_q(self, q: int) -> int:
         """q-adic valuation, defined only away from the core support.
@@ -416,18 +418,10 @@ class Datum:
         q must be prime: the core-support test is divisibility of the norm's
         numerator or denominator, or of the core's denominator, by q.
         """
-        n = self.cyc.norm()
-        if any(v and v % q == 0 for v in (n.numerator, n.denominator, self.cyc.den)):
+        if any(v and v % q == 0 for v in self._core_ints):
             raise ValueError(f"valuation at q = {q} not readable from the rational part")
-        v = 0
-        num, den = self.rat.numerator, self.rat.denominator
-        while num % q == 0:
-            num //= q
-            v += 1
-        while den % q == 0:
-            den //= q
-            v -= 1
-        return v
+        return (sylow_valuation(self.rat.numerator, q)
+                - sylow_valuation(self.rat.denominator, q))
 
     def unit_part_image(self, prime: CycloPrime) -> FFElement:
         """Image of alpha / q^{v_q(alpha)} in the residue field at `prime`."""

@@ -127,14 +127,13 @@ def make_ext_field(q: int, d: int) -> "ExtField":
 class ExtField:
     """F_{q^d} under the canonical modulus.  Build via make_ext_field."""
 
-    __slots__ = ("q", "d", "modulus", "size", "_order_fact", "_nonres")
+    __slots__ = ("q", "d", "modulus", "size", "_nonres")
 
     def __init__(self, q, d, modulus):
         self.q = q
         self.d = d
         self.modulus = modulus
         self.size = q ** d
-        self._order_fact = None
         self._nonres = {}
 
     def element(self, coeffs) -> "FFElement":
@@ -168,11 +167,6 @@ class ExtField:
     def elements(self):
         for n in range(self.size):
             yield self.from_index(n)
-
-    def group_order_factor(self):
-        if self._order_fact is None:
-            self._order_fact = dict(sympy.factorint(self.size - 1))
-        return self._order_fact
 
     def nonresidue(self, p: int) -> "FFElement":
         """The first non-p-th power in canonical order from t^(d-1) on.
@@ -308,20 +302,6 @@ def is_pth_power(x, p: int) -> bool:
     if n_ % p != 0:
         return True
     return x ** (n_ // p) == x.field.one()
-
-
-def mult_order(x: FFElement) -> int:
-    """Multiplicative order; error on zero."""
-    if x.is_zero():
-        raise ValueError("multiplicative order of zero")
-    e = x.field.size - 1
-    for ell, k in x.field.group_order_factor().items():
-        for _ in range(k):
-            if x ** (e // ell) == x.field.one():
-                e //= ell
-            else:
-                break
-    return e
 
 
 def sylow_valuation(n: int, p: int) -> int:

@@ -75,7 +75,7 @@ class RelField:
     class of t.
     """
 
-    __slots__ = ("parent", "a", "p", "size", "char")
+    __slots__ = ("parent", "a", "p", "size")
 
     def __init__(self, parent, a, p):
         if _splits(a, p):
@@ -84,7 +84,6 @@ class RelField:
         self.a = a
         self.p = p
         self.size = parent.size ** p
-        self.char = getattr(parent, "char", None) or parent.q
 
     def zero(self):
         return RElement(self, (self.parent.zero(),) * self.p)
@@ -201,7 +200,6 @@ class BranchNode:
     exp: int                 # residue field F_{q^exp}
     image: object | None     # chain-root image; None once on an inert tail
     count: int = 1
-    tail_from: int | None = None
 
 
 @dataclass(frozen=True)
@@ -237,9 +235,9 @@ def _rich_enough(field_size: int, p: int) -> bool:
     return p != 2 or (field_size - 1) % 4 == 0
 
 
-def _step_branch(node: BranchNode, p: int, level: int) -> list[BranchNode]:
+def _step_branch(node: BranchNode, p: int) -> list[BranchNode]:
     if node.image is None:
-        return [BranchNode(node.exp * p, None, node.count, node.tail_from)]
+        return [BranchNode(node.exp * p, None, node.count)]
     img = node.image
     if _splits(img, p):
         roots = pth_roots(img, p)
@@ -248,27 +246,28 @@ def _step_branch(node: BranchNode, p: int, level: int) -> list[BranchNode]:
                                  f"expected {p}")
         return [BranchNode(node.exp, rt, node.count) for rt in roots]
     if _rich_enough(img.field.size, p):
-        return [BranchNode(node.exp * p, None, node.count, level)]
+        return [BranchNode(node.exp * p, None, node.count)]
     nxt = RelField(img.field, img, p)
     return [BranchNode(node.exp * p, nxt.gen(), node.count)]
 
 
-def trace_prime(tower: KummerTower, prime: CycloPrime) -> PrimeTrace:
-    """Follow one base prime through every level; exact place data per level."""
+def _enter(tower: KummerTower, prime: CycloPrime) -> tuple | None:
+    """How a base prime enters the tower, as (image, count, growth).
+
+    None if the prime ramifies in the datum or a pre-step.  Else the datum's
+    image where the chain starts, the primes above `prime` there (a split
+    pre-step multiplies them by p) and the relative fields of inert pre-steps.
+    """
     p, q = tower.p, prime.q
     if q == p:
-        raise ValueError(f"q = {p} is wild here; trace undefined")
+        raise ValueError(f"q = {p} is wild: the residue criterion does not apply")
     if prime.m != tower.m:
         raise ValueError("prime lives over a different conductor")
-    if tower.datum.v_q(q) % p != 0 or any(
-            d.v_q(q) % p != 0 for d in tower.pre_steps):
-        return PrimeTrace(tower, prime, True, ())
-    a0 = tower.datum.unit_part_image(prime)
-    field = a0.field
+    if any(d.v_q(q) % p for d in (tower.datum, *tower.pre_steps)):
+        return None
+    image = tower.datum.unit_part_image(prime)
     count = 1
     growth: list[RelField] = []
-    # pre-steps: a split multiplies the prime count (images of later data are
-    # the same on every branch), an inert step grows the field
     for pre in tower.pre_steps:
         c = pre.unit_part_image(prime)
         for g in growth:
@@ -276,21 +275,21 @@ def trace_prime(tower: KummerTower, prime: CycloPrime) -> PrimeTrace:
         if _splits(c, p):
             count *= p
         else:
-            field = RelField(field, c, p)
-            growth.append(field)
-            a0 = field.embed(a0)
-    start = BranchNode(exp=_field_exp(field, prime), image=a0, count=count)
-    levels = []
-    nodes = [start]
-    n_steps = tower.r + (1 if tower.base_is_step else 0)
-    if not tower.base_is_step:
-        levels.append(tuple(nodes))
-    for step_i in range(n_steps):
-        level_idx = step_i if tower.base_is_step else step_i + 1
-        nxt = []
-        for node in nodes:
-            nxt.extend(_step_branch(node, p, level_idx))
-        nodes = nxt
+            growth.append(RelField(image.field, c, p))
+            image = growth[-1].embed(image)
+    return image, count, tuple(growth)
+
+
+def trace_prime(tower: KummerTower, prime: CycloPrime) -> PrimeTrace:
+    """Follow one base prime through every level; exact place data per level."""
+    entry = _enter(tower, prime)
+    if entry is None:
+        return PrimeTrace(tower, prime, True, ())
+    image, count, growth = entry
+    nodes = [BranchNode(prime.f * tower.p ** len(growth), image, count)]
+    levels = [] if tower.base_is_step else [tuple(nodes)]
+    for _ in range(tower.r + (1 if tower.base_is_step else 0)):
+        nodes = [b for node in nodes for b in _step_branch(node, tower.p)]
         levels.append(tuple(nodes))
     trace = PrimeTrace(tower, prime, False, tuple(levels))
     for j in range(tower.r + 1):
@@ -300,29 +299,17 @@ def trace_prime(tower: KummerTower, prime: CycloPrime) -> PrimeTrace:
     return trace
 
 
-def _field_exp(field, prime: CycloPrime) -> int:
-    e = prime.f
-    f = field
-    while isinstance(f, RelField):
-        e *= f.p
-        f = f.parent
-    return e
-
-
 # ---------------------------------------------------------------------------
 # classification and densities
 
 def classify_prime(step: KummerTower, prime: CycloPrime) -> DegreeClass:
     """Class of a base prime in the first datum step of `step`."""
-    p, q = step.p, prime.q
-    if q == p:
-        raise ValueError("q = p: the residue criterion does not apply")
     if step.pre_steps:
         raise ValueError("classification is for bare steps; trace instead")
-    if step.datum.v_q(q) % p != 0:
+    entry = _enter(step, prime)
+    if entry is None:
         return DegreeClass.RAMIFIED
-    img = step.datum.unit_part_image(prime)
-    return DegreeClass.DEGREE1 if _splits(img, p) else DegreeClass.DEGREEP
+    return DegreeClass.DEGREE1 if _splits(entry[0], step.p) else DegreeClass.DEGREEP
 
 
 def classify_rational(step: KummerTower, q: int):
@@ -594,17 +581,13 @@ class InertChainCertificate:
 
 
 def _inert_cert_at(tower: KummerTower, P: CycloPrime) -> InertChainCertificate:
-    p, q = tower.p, P.q
-    if q == p:
-        raise ValueError("wild prime")
-    if tower.datum.v_q(q) % p != 0:
-        raise ValueError("ramified in the datum")
-    count = 1
-    for pre in tower.pre_steps:
-        if not _splits(pre.unit_part_image(P), p):
-            raise ValueError("inert pre-step forces a split higher up")
-        count *= p
-    a0 = tower.datum.unit_part_image(P)
+    p = tower.p
+    entry = _enter(tower, P)
+    if entry is None:
+        raise ValueError(f"q = {P.q} ramifies in the tower")
+    a0, count, growth = entry
+    if growth:
+        raise ValueError("inert pre-step forces a split higher up")
     if _splits(a0, p):
         raise ValueError(f"datum image is a {p}-th power at this prime")
     v = order_p_valuation(a0, p)

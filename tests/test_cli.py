@@ -95,12 +95,36 @@ def test_alpha_literals():
     assert parse_alpha("3/2", 1) == Datum.of(Fraction(3, 2))
     # powers fold through the conductor
     assert parse_alpha("z**5", 4) == Datum(F4.zeta())
+    assert parse_alpha("z*z - 1", 4) == Datum(F4.element([-2]))
+    assert parse_alpha("(1+z)**2", 4) == Datum(F4.element([0, 2]))
+    # degree 0 in z before folding is a rational datum; ^ is a power, and a
+    # decimal is exact
+    assert parse_alpha("z - z", 4) == Datum.of(0, m=4)
+    assert parse_alpha("2^3", 4) == Datum.of(8, m=4)
+    assert parse_alpha("1+z^2", 8) == Datum(CycloField(8).element([1, 0, 1]))
+    assert parse_alpha("-5/6", 1) == Datum.of(Fraction(-5, 6))
+    assert parse_alpha("z/2", 4) == Datum(F4.element([0, Fraction(1, 2)]))
+    assert parse_alpha("1e3", 4) == Datum.of(1000, m=4)
+    assert parse_alpha("0.1", 1) == Datum.of(Fraction(1, 10))
 
 
-@pytest.mark.parametrize("text", ["w+1", "1/z", "z+)", "sin(z)"])
+@pytest.mark.parametrize("text", ["w+1", "1/z", "z+)", "sin(z)", "1/0",
+                                  "z**-1", "z**z", "z % 2"])
 def test_alpha_rejects(text):
     with pytest.raises(ValueError):
         parse_alpha(text, 4)
+
+
+@pytest.mark.parametrize("text", ["__import__('os').getpid()", "pi", "I", "oo",
+                                  "True", "2**(1/2)", '"3"', "[1]"])
+def test_alpha_is_never_run_as_code(text, capsys, monkeypatch):
+    # the datum is read as an expression tree: a call is rejected, not made
+    import os
+    calls = []
+    monkeypatch.setattr(os, "getpid", lambda: calls.append(1) or 1)
+    code, out = run(["tower", "build", "--m", "4", "--p", "2", "--alpha", text],
+                    capsys)
+    assert (code, out, calls) == (64, "", [])
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +196,18 @@ def test_split_classify_report(capsys):
                    '    {\n      "base_degree": 1,\n      "class": "DEGREE1",\n'
                    '      "prime_index": 1\n    }\n'
                    '  ],\n  "schema": 1,\n  "threads": 1\n}\n')
+
+
+@pytest.mark.parametrize("lemma", ["44", "45"])
+def test_lemma_refuses_prime_ramified_in_pre_step(lemma, capsys):
+    # 5 = (2+i)(2-i) ramifies in Q(i, sqrt 5): no inert chain, while the
+    # trace reports the ramification
+    tower = ["--m", "4", "--p", "2", "--r", "1", "--alpha", "3", "--pre", "5",
+             "--q", "5"]
+    assert main(["lemma", lemma] + tower) == 64
+    assert "q = 5 ramifies in the tower" in capsys.readouterr().err
+    code, out = run(["split", "trace"] + tower, capsys)
+    assert code == 0 and json.loads(out)["ramified"] is True
 
 
 def test_lemma_45_report(capsys):

@@ -13,7 +13,6 @@ from sympy.polys.galoistools import gf_gcd, gf_pow_mod, gf_sub
 from kummerlab.finitefield import (
     is_pth_power,
     make_ext_field,
-    mult_order,
     order_p_valuation,
     pth_roots,
 )
@@ -37,6 +36,20 @@ def find_roots_by_exhaustion(coeffs, field):
         if acc.is_zero():
             roots.append(x)
     return sorted(roots, key=lambda r: r.key())
+
+
+def mult_order(x):
+    """Multiplicative order of a nonzero element, from the factored group order."""
+    if x.is_zero():
+        raise ValueError("multiplicative order of zero")
+    e = x.field.size - 1
+    for ell, k in sympy.factorint(e).items():
+        for _ in range(k):
+            if x ** (e // ell) == x.field.one():
+                e //= ell
+            else:
+                break
+    return e
 
 
 def brute_pth_roots(elements, p):

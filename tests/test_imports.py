@@ -1,5 +1,6 @@
-"""Every name a kummerlab module imports is referenced in that module, and
-every module-level private function is referenced somewhere in the package."""
+"""Every name a kummerlab module imports is referenced in that module,
+every module-level private function is referenced somewhere in the package,
+and no module runs text as code."""
 
 import ast
 import pathlib
@@ -106,3 +107,30 @@ def test_unreferenced_private_functions_detected():
 def test_no_unreferenced_private_functions():
     sources = {m: (SRC / m).read_text() for m in MODULES}
     assert unreferenced_private_functions(sources) == []
+
+
+def code_from_text_calls(source: str) -> list[str]:
+    """Calls that run text as Python: eval, exec and sympy's sympify."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if (isinstance(f, ast.Name) and f.id in ("eval", "exec", "sympify")
+                or isinstance(f, ast.Attribute) and f.attr == "sympify"):
+            out.append(f"{ast.unparse(f)} (line {node.lineno})")
+    return out
+
+
+def test_code_from_text_calls_detected():
+    src = ("import sympy\nfrom sympy import sympify\nx = eval('1')\n"
+           "exec('y = 2')\nz = sympy.sympify('z')\nw = sympify('w')\n"
+           "v = sympy.Poly(z).eval(1)\nu = ast.literal_eval('1')\n")
+    assert code_from_text_calls(src) == ["eval (line 3)", "exec (line 4)",
+                                         "sympy.sympify (line 5)",
+                                         "sympify (line 6)"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_code_from_text(module):
+    assert code_from_text_calls((SRC / module).read_text()) == []

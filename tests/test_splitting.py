@@ -32,12 +32,13 @@ from kummerlab.splitting import (
 from kummerlab.finitefield import (
     is_pth_power,
     make_ext_field,
-    mult_order,
     order_p_valuation,
     pth_roots,
     sylow_valuation,
 )
-from kummerlab.tower import KummerTower
+from kummerlab.tower import KummerTower, ramification_profile
+
+from test_finitefield import mult_order
 
 
 def _gauss_step():
@@ -83,9 +84,9 @@ from kummerlab import cyclotomic, splitting
 from kummerlab.cyclotomic import CycloField, Datum, cyclo_primes_above
 step = splitting.kummer_step(4, 2, Datum(CycloField(4).element((1, 1))))
 P = cyclo_primes_above(4, 13)[1]
-roots, exp = splitting.pth_roots, splitting._field_exp
+roots, enter = splitting.pth_roots, splitting._enter
 for name, fake in (("pth_roots", lambda x, p: roots(x, p)[1:]),
-                   ("_field_exp", lambda f, P: exp(f, P) + 1)):
+                   ("_enter", lambda t, P: (enter(t, P)[0], 2, ()))):
     real = getattr(splitting, name)
     setattr(splitting, name, fake)
     try:
@@ -168,16 +169,51 @@ def test_certificate_checks_survive_optimize():
         "no Kummer line certifies the main datum"]
 
 
-def test_field_bad_primes_frozen():
+def _with_pre_towers():
     F4, F9 = CycloField(4), CycloField(9)
+    return (KummerTower(4, 2, 3, Datum(F4.element((Fraction(1, 5), 1))),
+                        pre_steps=(Datum.of(6, 4), Datum(F4.element((2, 1))))),
+            KummerTower(9, 3, 2, Datum(F9.element((1, 1))),
+                        pre_steps=(Datum.of(Fraction(5, 11), 9),)))
+
+
+def test_field_bad_primes_frozen():
     assert field_bad_primes(1) == set()
     assert field_bad_primes(12) == {2, 3}
-    with_pre = KummerTower(4, 2, 3, Datum(F4.element((Fraction(1, 5), 1))),
-                           pre_steps=(Datum.of(6, 4), Datum(F4.element((2, 1)))))
-    assert field_bad_primes(with_pre) == {2, 3, 5, 13}
-    with_pre = KummerTower(9, 3, 2, Datum(F9.element((1, 1))),
-                           pre_steps=(Datum.of(Fraction(5, 11), 9),))
-    assert field_bad_primes(with_pre) == {3, 5, 11}
+    gauss_pre, nonic_pre = _with_pre_towers()
+    assert field_bad_primes(gauss_pre) == {2, 3, 5, 13}
+    assert field_bad_primes(nonic_pre) == {3, 5, 11}
+
+
+def test_inert_certificate_refuses_ramified_and_matches_trace():
+    # the certificate and the trace enter a tower by the same rule: wherever
+    # the datum or a pre-step ramifies, no chain is certified, and a certified
+    # chain has the trace's norms on each of its branches
+    towers = _with_pre_towers() + (
+        KummerTower(4, 2, 1, Datum.of(3, m=4), pre_steps=(Datum.of(5, m=4),)),)
+    certified = refused = 0
+    for tower in towers:
+        for q in sympy.primerange(2, 200):
+            if q == tower.p:
+                continue
+            try:
+                prof = ramification_profile(tower, q)
+            except ValueError:      # q in the datum's core support
+                continue
+            ramified = (prof.pre_ramified
+                        or prof.first_ramified_level() is not None)
+            for P in cyclo_primes_above(tower.m, q):
+                try:
+                    cert = inert_chain_certificate(tower, P)
+                except ValueError:
+                    refused += 1
+                    continue
+                assert not ramified, (tower, q)
+                certified += 1
+                trace = trace_prime(tower, P)
+                for j in range(tower.r + 1):
+                    assert trace.norms(j) == (cert.norms[j],) * cert.branch_count
+    assert certified and refused
 
 
 def test_classify_ramified_and_wild():
