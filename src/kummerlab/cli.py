@@ -623,7 +623,8 @@ def _build_parser() -> _Parser:
                                  help="eliminate twists level by level")
     _add_pair_flags(sub, field_flag="--K", default=None)
     sub.add_argument("--verify-upto", type=int, default=60,
-                     help="window for the replayed equality checks")
+                     help="primes q up to this bound check the Satake "
+                          "coherence of each base change")
     sub.set_defaults(func=_cmd_descent_run)
 
     sub = top.add_parser("theorem-a", parents=[common],

@@ -18,7 +18,6 @@ part exactly (the cyclotomic core is checked to be a q-unit via its norm).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -280,55 +279,40 @@ def frobenius(m: int, q: int) -> int:
 
 @lru_cache(maxsize=None)
 def cyclo_primes_above(m: int, q: int) -> tuple["CycloPrime", ...]:
-    """Primes above unramified q, one per Frobenius orbit of Phi_m roots."""
+    """Primes above unramified q, one per Frobenius orbit of Phi_m roots.
+
+    The orbit of zeta^a in F_{q^f}, f = ord(q mod m), is zeta^(a<q>) for the
+    coset a<q> in (Z/m)^*; a prime is its orbit's least-key root.
+    """
     if not sympy.isprime(q):
         raise ValueError(f"q = {q} is not prime")
     if m > 1 and m % q == 0:
         raise ValueError(f"q = {q} ramifies in conductor {m}")
-    if m <= 2:
-        field = make_ext_field(q, 1)
-        zbar = field.one() if m == 1 else -field.one()
-        return (CycloPrime(m, q, 1, zbar),)
-    f = sympy.n_order(q, m)
+    f = sympy.n_order(q, m) if m > 1 else 1
     field = make_ext_field(q, f)
     n_ = field.size - 1
     if n_ % m:
         raise AssertionError(f"F_{q}^{f} has no primitive {m}-th root of unity")
-    # first element (subfield elements last: they are never generators for
-    # f > 1) whose (n/m)-th power has exact order m
-    root = None
-    pf = sympy.primefactors(m)
-    start = q ** (f - 1) if f > 1 else 1
-    for idx in itertools.chain(range(start, field.size), range(1, start)):
-        y = field.from_index(idx) ** (n_ // m)
-        if all(y ** (m // ell) != field.one() for ell in pf):
-            root = y
-            break
-    if root is None:
-        raise AssertionError(f"no primitive {m}-th root of unity in F_{q}^{f}")
-    prim = {}
-    for a in range(1, m):
-        if math.gcd(a, m) == 1:
-            z = root ** a
-            prim[z.coeffs] = z
-    orbits = []
-    seen = set()
-    for key in sorted(prim, key=lambda c: prim[c].key()):
-        if key in seen:
-            continue
-        z = prim[key]
-        orbit = []
-        w = z
-        while w.coeffs not in seen:
-            seen.add(w.coeffs)
-            orbit.append(w)
-            w = w ** q
-        orbits.append(min(orbit, key=lambda e: e.key()))
-    orbits.sort(key=lambda e: e.key())
-    if len(orbits) * f != len(prim):
-        raise AssertionError(f"{len(orbits)} Frobenius orbits of size {f} "
-                             f"cover {len(prim)} roots")
-    return tuple(CycloPrime(m, q, f, z) for z in orbits)
+    # a non-ell-th power to the (n/ell^k)-th has order exactly ell^k
+    one = field.one()
+    root = one
+    factors = sympy.factorint(m)
+    for ell, k in factors.items():
+        root = root * field.nonresidue(ell) ** (n_ // ell ** k)
+    powers = [one]
+    for _ in range(m):
+        powers.append(powers[-1] * root)
+    if powers[m] != one or any(powers[m // ell] == one for ell in factors):
+        raise AssertionError(f"{root} is not a primitive {m}-th root of "
+                             f"unity in F_{q}^{f}")
+    zbars, seen = [], set()
+    for a in range(m):
+        if a not in seen and math.gcd(a, m) == 1:
+            coset = {a * pow(q, i, m) % m for i in range(f)}
+            seen |= coset
+            zbars.append(min((powers[b] for b in coset), key=FFElement.key))
+    zbars.sort(key=FFElement.key)
+    return tuple(CycloPrime(m, q, f, z) for z in zbars)
 
 
 @dataclass(frozen=True)
@@ -540,10 +524,8 @@ def datum_power_certificate(d: Datum, p: int,
     for q in sympy.primerange(2, bound + 1):
         if q in skip:
             continue
-        rat_mod = (d.rat.numerator * pow(d.rat.denominator, -1, q)) % q
         for prime in cyclo_primes_above(m, q):
-            img = prime.reduce(d.cyc) * rat_mod
-            if not is_pth_power(img, p):
+            if not is_pth_power(d.unit_part_image(prime), p):
                 return PowerCertificate(d, p, q, prime, False)
     if exact is False:
         raise InconclusiveError(

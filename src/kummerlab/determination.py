@@ -849,10 +849,7 @@ def final_descent(plan: TowerPlan, pi: IsobaricRep, pi2: IsobaricRep,
     for q in _inert_rational_primes(plan, X):
         if q in ram:
             continue
-        try:
-            cert = inert_splits_in_top(plan.lattice, q)
-        except (ValueError, AssertionError):
-            continue
+        cert = inert_splits_in_top(plan.lattice, q)
         agree = satake(pi, (q, plan.p)) == satake(pi2, (q, plan.p))
         rows.append(TransportRow(q, q ** plan.p, cert.primes_in_top,
                                  cert.relative_degree, agree))

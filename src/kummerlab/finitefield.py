@@ -13,10 +13,12 @@ root lists refer to this order.
 
 Exponents are arbitrary-precision throughout.  Irreducibility is Ben-Or's
 test, which stops at the first factor degree it finds.  p-th roots come from
-one deterministic Adleman-Manders-Miller extractor, seeded here by the first
-non-p-th-power in canonical order from t^(d-1) on (``ExtField.nonresidue``).
-``is_pth_power`` and ``pth_roots`` are generic: they serve the relative
-fields of ``kummerlab.splitting`` too.
+one deterministic Adleman-Manders-Miller extractor, seeded like the roots of
+unity of ``kummerlab.cyclotomic`` by one scan for a non-p-th power
+(``first_nonresidue``).  ``is_pth_power``, ``first_nonresidue`` and
+``pth_roots`` are generic: they serve the relative fields of
+``kummerlab.splitting`` too.  Only this module reads an element's
+coefficient tuple; other modules use ``key()``.
 """
 
 from __future__ import annotations
@@ -169,22 +171,13 @@ class ExtField:
             yield self.from_index(n)
 
     def nonresidue(self, p: int) -> "FFElement":
-        """The first non-p-th power in canonical order from t^(d-1) on.
+        """The first non-p-th power from t^(d-1) on (`first_nonresidue`).
 
-        The scan wraps round, so the prime subfield (for d >= 2 usually all
-        p-th powers) comes last.  It seeds `pth_roots`, whose root set does
-        not depend on it.
+        Memoised per field: it seeds `pth_roots` and builds the roots of
+        unity of `cyclotomic.cyclo_primes_above`.
         """
         if p not in self._nonres:
-            start = self.q ** (self.d - 1)
-            for n in itertools.chain(range(start, self.size),
-                                     range(1, start)):
-                x = self.from_index(n)
-                if not is_pth_power(x, p):
-                    self._nonres[p] = x
-                    break
-            else:
-                raise ValueError(f"every element of F_{self.size} is a {p}-th power")
+            self._nonres[p] = first_nonresidue(self, p, self.q ** (self.d - 1))
         return self._nonres[p]
 
     def __eq__(self, other):
@@ -302,6 +295,20 @@ def is_pth_power(x, p: int) -> bool:
     if n_ % p != 0:
         return True
     return x ** (n_ // p) == x.field.one()
+
+
+def first_nonresidue(field, p: int, start: int):
+    """The first non-p-th power in index order from `start`, wrapping round.
+
+    From the generator's top power, the lower-degree elements (for degree
+    >= 2 often all p-th powers) come last.  The field needs ``size`` and
+    ``from_index``.
+    """
+    for n in itertools.chain(range(start, field.size), range(1, start)):
+        x = field.from_index(n)
+        if not is_pth_power(x, p):
+            return x
+    raise ValueError(f"every element of F_{field.size} is a {p}-th power")
 
 
 def sylow_valuation(n: int, p: int) -> int:

@@ -25,12 +25,12 @@ import sympy
 from .cyclotomic import (
     CycloPrime,
     Datum,
-    InconclusiveError,
     PPSubfieldLattice,
     bad_primes,
     cyclo_primes_above,
 )
 from .finitefield import (
+    first_nonresidue,
     is_pth_power,
     order_p_valuation,
     pth_roots,
@@ -100,18 +100,18 @@ class RelField:
     def embed(self, x):
         return RElement(self, (x,) + (self.parent.zero(),) * (self.p - 1))
 
+    def from_index(self, n: int) -> "RElement":
+        """The element whose coefficients are the base-|parent| digits of n."""
+        size = self.parent.size
+        return RElement(self, tuple(self.parent.from_index(n // size ** i % size)
+                                    for i in range(self.p)))
+
     def nonresidue(self, p: int) -> "RElement":
-        """A non-p-th power, the first found counting up from the generator.
+        """The first non-p-th power from t^(p-1) on (`first_nonresidue`).
 
         Seeds `finitefield.pth_roots`, whose root set does not depend on it.
         """
-        cand = self.gen()
-        one = self.one()
-        for _ in range(64):
-            if not is_pth_power(cand, p):
-                return cand
-            cand = cand + one
-        raise InconclusiveError("no p-Sylow seed found near the generator")
+        return first_nonresidue(self, p, self.parent.size ** (self.p - 1))
 
     def __eq__(self, other):
         return (isinstance(other, RelField) and self.p == other.p
@@ -226,8 +226,10 @@ class PrimeTrace:
         return tuple(out)
 
     def image_keys(self, level: int) -> tuple:
-        return tuple(sorted(b.image.key() for b in self.branches[level]
-                            if b.image is not None))
+        # a level can mix residue-field (int) and RelField (tuple) keys
+        return tuple(sorted((b.image.key() for b in self.branches[level]
+                             if b.image is not None),
+                            key=lambda k: (isinstance(k, tuple), k)))
 
 
 def _rich_enough(field_size: int, p: int) -> bool:
@@ -546,14 +548,15 @@ def norm_subgroup(field_desc, N: int, bound: int = DEFAULT_NORM_BOUND) -> frozen
     gens = {pow(q, f, N) for q, f, _ in place_table(field_desc, bound)
             if N % q}
     group = {1 % N}
-    frontier = [1 % N]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = (x * g) % N
-            if y not in group:
-                group.add(y)
-                frontier.append(y)
+    for g in gens:
+        if g in group:
+            continue
+        # <H, g> is the union of the cosets H g^k up to the first g^k in H
+        h, grown = g, set(group)
+        while h not in group:
+            grown.update(x * h % N for x in group)
+            h = h * g % N
+        group = grown
     return frozenset(group)
 
 

@@ -177,6 +177,18 @@ def test_split_trace_ramified_report(capsys):
                    '  "schema": 1,\n  "threads": 1\n}\n')
 
 
+def test_split_trace_characteristic_3_relative_field(capsys):
+    # a p-th root in F_27[t]/(t^2 - a) needs a non-square past t, t+1, t+2
+    code, out = run(["split", "trace", "--m", "13", "--p", "2", "--r", "2",
+                     "--alpha", "z-1", "--q", "3", "--format", "csv"], capsys)
+    assert code == 0
+    assert out == ("prime_index,base_degree,level,degree,count\n"
+                   "0,3,0,3,1\n0,3,1,3,2\n0,3,2,3,2\n0,3,2,6,1\n"
+                   "1,3,0,3,1\n1,3,1,3,2\n1,3,2,3,2\n1,3,2,6,1\n"
+                   "2,3,0,3,1\n2,3,1,6,1\n2,3,2,6,2\n"
+                   "3,3,0,3,1\n3,3,1,6,1\n3,3,2,6,2\n")
+
+
 def test_split_density_report(capsys):
     code, out = run(["split", "density", "--m", "4", "--p", "2",
                      "--alpha", "1+z", "--X", "5000"], capsys)

@@ -1,5 +1,6 @@
 """Residue primes, reduction maps, and the (p, p) subfield lattice."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -21,7 +22,7 @@ from kummerlab.cyclotomic import (
     pp_lattice,
     require_not_pth_power,
 )
-from kummerlab.finitefield import is_pth_power
+from kummerlab.finitefield import is_pth_power, make_ext_field
 from kummerlab.lseries import root_of_unity
 from test_splitting import _run_optimized
 
@@ -101,6 +102,72 @@ def test_residue_degrees_sum_to_phi(m, q):
     assert all(P.f == f for P in ps)
     # distinct canonical roots
     assert len({P.zbar.key() for P in ps}) == len(ps)
+
+
+def _primes_above_by_orbit_walk(m, q):
+    """Reference: (f, zbar) pairs by a root scan and a Frobenius orbit walk.
+
+    The root is the (n/m)-th power of the first element, in index order
+    from t^(f-1) on, where that power has exact order m; each orbit is
+    walked by w -> w^q and represented by its least-key root.
+    """
+    f = sympy.n_order(q, m) if m > 1 else 1
+    field = make_ext_field(q, f)
+    n = field.size - 1
+    start = q ** (f - 1) if f > 1 else 1
+    for idx in itertools.chain(range(start, field.size), range(1, start)):
+        root = field.from_index(idx) ** (n // m)
+        if all(root ** (m // ell) != field.one() for ell in sympy.primefactors(m)):
+            break
+    prim = {}
+    for a in range(1, m + 1):
+        if math.gcd(a, m) == 1:
+            z = root ** a
+            prim[z.coeffs] = z
+    zbars, seen = [], set()
+    for key in sorted(prim, key=lambda c: prim[c].key()):
+        orbit, w = [], prim[key]
+        while w.coeffs not in seen:
+            seen.add(w.coeffs)
+            orbit.append(w)
+            w = w ** q
+        if orbit:
+            zbars.append(min(orbit, key=lambda e: e.key()))
+    assert len(zbars) * f == len(prim)
+    return sorted(((f, z) for z in zbars), key=lambda fz: fz[1].key())
+
+
+def test_primes_above_match_orbit_walk():
+    """Cosets of <q> give the orbit walk's primes: m <= 2, composite m,
+    residue degrees up to 6."""
+    pairs = 0
+    for m in (1, 2, 3, 4, 5, 7, 8, 9, 12, 13, 15, 16, 20, 21, 24, 27, 60):
+        for q in sympy.primerange(2, 60):
+            if m > 1 and (m % q == 0 or sympy.n_order(q, m) > 6):
+                continue
+            got = [(P.f, P.zbar) for P in cyclo_primes_above(m, q)]
+            assert got == _primes_above_by_orbit_walk(m, q), (m, q)
+            pairs += 1
+    assert pairs > 200
+
+
+_BREAK_THE_ROOT = """
+from kummerlab import cyclotomic
+from kummerlab.finitefield import ExtField
+real = ExtField.nonresidue
+ExtField.nonresidue = lambda self, p: real(self, p) ** p
+try:
+    cyclotomic.cyclo_primes_above(4, 5)
+except AssertionError as e:
+    print(e)
+"""
+
+
+def test_root_order_check_survives_optimize():
+    # a p-th power in place of the non-residue still raises under python -O
+    # (test_trace_checks_survive_optimize covers a field without mu_m)
+    assert _run_optimized(_BREAK_THE_ROOT) == [
+        "4 is not a primitive 4-th root of unity in F_5^1"]
 
 
 def test_reduce_frozen_values():

@@ -134,3 +134,45 @@ def test_code_from_text_calls_detected():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_code_from_text(module):
     assert code_from_text_calls((SRC / module).read_text()) == []
+
+
+def unbounded_inconclusive_raises(source: str) -> list[str]:
+    """`raise InconclusiveError` outside a function with a `bound` parameter.
+
+    The error means a search exhausted its bound, so it belongs to a
+    function that takes one.
+    """
+    out = []
+
+    def visit(node, has_bound):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            a = node.args
+            has_bound = any(x.arg == "bound" for x in
+                            (*a.posonlyargs, *a.args, *a.kwonlyargs))
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = exc.attr if isinstance(exc, ast.Attribute) else \
+                getattr(exc, "id", None)
+            if name == "InconclusiveError" and not has_bound:
+                out.append(f"line {node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, has_bound)
+
+    visit(ast.parse(source), False)
+    return out
+
+
+def test_unbounded_inconclusive_raises_detected():
+    src = ("def search(x, bound=10):\n    raise InconclusiveError('b')\n"
+           "def seed(x):\n    raise InconclusiveError('no seed')\n"
+           "class F:\n    def scan(self, bound):\n"
+           "        def inner(y):\n            raise cyclotomic.InconclusiveError\n"
+           "        raise InconclusiveError\n"
+           "raise InconclusiveError()\n")
+    assert unbounded_inconclusive_raises(src) == ["line 4", "line 8", "line 10"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_inconclusive_only_under_a_bound(module):
+    assert unbounded_inconclusive_raises((SRC / module).read_text()) == []

@@ -394,6 +394,32 @@ def test_norm_subgroup_gaussian():
     assert norm_subgroup(3, 9) == frozenset({1, 4, 7})  # Q(zeta_3) in Q(zeta_9)
 
 
+def _span_by_closure(gens, N):
+    """Reference: the subgroup of (Z/N)^* generated by gens, breadth first."""
+    group = {1 % N}
+    frontier = [1 % N]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = x * g % N
+            if y not in group:
+                group.add(y)
+                frontier.append(y)
+    return frozenset(group)
+
+
+@pytest.mark.parametrize("field", [
+    1, 4, 9, 12, kummer_step(1, 2, Datum.of(3)), kummer_step(1, 2, Datum.of(-5)),
+    KummerTower(4, 2, 2, Datum.of(3, m=4)),
+    KummerTower(1, 2, 1, Datum.of(2), pre_steps=(Datum.of(-1),)),
+], ids=["Q", "zeta4", "zeta9", "zeta12", "sqrt3", "sqrt-5", "quartic3", "zeta8"])
+def test_norm_subgroup_matches_closure(field):
+    # cosets of the group so far, against the breadth-first closure
+    for N in (1, 8, 13, 15, 16, 21, 35, 40, 63, 120):
+        gens = {pow(q, f, N) for q, f, _ in place_table(field, 60) if N % q}
+        assert norm_subgroup(field, N, bound=60) == _span_by_closure(gens, N)
+
+
 # ---------------------------------------------------------------------------
 # relative extensions
 
@@ -420,6 +446,50 @@ def test_rel_field_roots_against_brute_force(q, a, p):
     for x in elements:
         want = sorted(brute.get(x.key(), []), key=lambda r: r.key())
         assert pth_roots(x, p) == want
+
+
+def test_rel_field_index_order():
+    # from_index reads base-|parent| digits, low coefficient first, and
+    # recurses through a nested RelField
+    F5 = make_ext_field(5, 1)
+    R = RelField(F5, F5.element(2), 2)
+    assert R.from_index(0) == R.zero() and R.from_index(1) == R.one()
+    assert R.from_index(5) == R.gen()
+    assert R.from_index(17) == R.gen() * R.embed(F5.element(3)) + R.embed(F5.element(2))
+    assert len({R.from_index(n).key() for n in range(R.size)}) == R.size
+    RR = RelField(R, R.gen(), 2)             # sqrt of sqrt 2: F_625
+    assert RR.from_index(25 * 5) == RR.gen() * RR.embed(R.gen())
+    assert RR.from_index(RR.size - 1).key() == ((4, 4), (4, 4))
+
+
+def test_rel_field_nonresidue_in_characteristic_3():
+    # F_27[t]/(t^2 - a) at a prime above 3 in Q(zeta_13): t, t+1, t+2 are
+    # all squares there, so the scan has to go past the generator's coset
+    tower = KummerTower(13, 2, 2, Datum(CycloField(13).zeta() - 1))
+    P = cyclo_primes_above(13, 3)[3]
+    tr = trace_prime(tower, P)
+    x = tr.branches[1][0].image
+    R = x.field
+    assert isinstance(R, RelField) and R.size == 729
+    assert all(is_pth_power(R.gen() + R.embed(R.parent.element(c)), 2)
+               for c in range(3))
+    assert not is_pth_power(R.nonresidue(2), 2)
+    elements = [R.from_index(n) for n in range(R.size)]
+    brute = {}
+    for y in elements:
+        brute.setdefault((y * y).key(), []).append(y)
+    for y in elements:
+        want = sorted(brute.get(y.key(), []), key=lambda r: r.key())
+        assert pth_roots(y, 2) == want
+    assert tr.image_keys(2) == tuple(r.key() for r in pth_roots(x, 2))
+
+
+def test_image_keys_mixed_residue_fields():
+    # above 7 the chain sqrt(2), sqrt(sqrt 2) gives two split branches in
+    # F_7 and one branch in F_7[t]/(t^2 - 5): int keys first, then tuples
+    tr = trace_prime(KummerTower(1, 2, 2, Datum.of(2)), cyclo_primes_above(1, 7)[0])
+    assert tr.places(2) == ((1, 2), (2, 1))
+    assert tr.image_keys(2) == (2, 5, (0, 1))
 
 
 def test_rel_field_rejects_power():
