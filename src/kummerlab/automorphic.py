@@ -172,9 +172,6 @@ class NormCharacter:
             raise ValueError(f"{a} is not a unit mod {self.modulus}")
         return Fraction(self.exps[a], self.order)
 
-    def __call__(self, v) -> Fraction:
-        return self.angle(place_norm(v))
-
     # -- structure -----------------------------------------------------------
 
     def conductor(self) -> int:
@@ -305,13 +302,11 @@ def place_norms(field_desc, q: int) -> tuple[int, ...]:
 
 
 def place_norm(v) -> int:
-    """Nv for a place given as an int norm, a (q, f) pair, or a base prime."""
+    """Nv for a place given as an int norm or a (q, f) pair."""
     if isinstance(v, int):
         return v
-    if isinstance(v, tuple):
-        q, f = v
-        return q ** f
-    return v.norm          # CycloPrime
+    q, f = v
+    return q ** f
 
 
 _H_CACHE: dict = {}

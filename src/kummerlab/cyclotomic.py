@@ -270,6 +270,20 @@ def _combine(x: CycloElement, y: CycloElement, sign: int) -> CycloElement:
                     x.den * sx)
 
 
+@lru_cache(maxsize=None)
+def unit_orders(m: int) -> tuple[int, ...]:
+    """ord(a mod m) at each unit a of Z/m, 0 at every other residue.
+
+    Entry q % m is the residue degree of every prime of Q(zeta_m) above an
+    unramified q (Washington, Thm 2.13), and the nonzero entries number
+    phi(m).  m = 1 gives (1,).
+    """
+    if m == 1:
+        return (1,)
+    return tuple(int(sympy.n_order(a, m)) if math.gcd(a, m) == 1 else 0
+                 for a in range(m))
+
+
 def frobenius(m: int, q: int) -> int:
     """Frobenius at q as the residue q mod m acting by zeta -> zeta^q."""
     if m > 1 and m % q == 0:
@@ -288,7 +302,7 @@ def cyclo_primes_above(m: int, q: int) -> tuple["CycloPrime", ...]:
         raise ValueError(f"q = {q} is not prime")
     if m > 1 and m % q == 0:
         raise ValueError(f"q = {q} ramifies in conductor {m}")
-    f = sympy.n_order(q, m) if m > 1 else 1
+    f = unit_orders(m)[q % m]
     field = make_ext_field(q, f)
     n_ = field.size - 1
     if n_ % m:
@@ -335,16 +349,19 @@ class CycloPrime:
         """Image of x in the residue field; error if q divides a denominator."""
         if x.field.m != self.m:
             raise ValueError("conductor mismatch")
+        if x.den % self.q == 0:
+            raise ValueError(f"denominator divisible by q = {self.q}")
+        return self.reduce_ints(x.num, pow(x.den, -1, self.q))
+
+    def reduce_ints(self, num, scale: int = 1) -> FFElement:
+        """Image of scale times the integer vector num over the power basis."""
         q = self.q
-        if x.den % q == 0:
-            raise ValueError(f"denominator divisible by q = {q}")
-        den_inv = pow(x.den, -1, q)
         field = self.zbar.field
         acc = field.zero()
         zpow = field.one()
-        for c in x.num:
+        for c in num:
             if c:
-                acc = acc + zpow * (c * den_inv % q)
+                acc = acc + zpow * (c * scale % q)
             zpow = zpow * self.zbar
         return acc
 
@@ -407,18 +424,42 @@ class Datum:
         return (sylow_valuation(self.rat.numerator, q)
                 - sylow_valuation(self.rat.denominator, q))
 
+    def reading(self, prime: CycloPrime) -> tuple[int, FFElement | None]:
+        """v_P(alpha) at a base prime P, and the image of alpha / q^v_P(alpha).
+
+        q is unramified in Q(zeta_m), so the rational part and the core's
+        denominator count with their q-adic valuations.  The core's integer
+        vector c is reduced once: where its image is nonzero, v_P(c) = 0 and
+        the image is read off; where P is the only prime above q dividing c,
+        v_P(c) = v_q(N(c)) / f and the image is None.  With two or more such
+        primes v_P(c) is not readable: ValueError.
+        """
+        if prime.m != self.m:
+            raise ValueError("conductor mismatch")
+        q, num, den = prime.q, self.rat.numerator, self.rat.denominator
+        a = sylow_valuation(num, q)
+        b = sylow_valuation(den * self.cyc.den, q)
+        unit = num // q ** a * pow(den * self.cyc.den // q ** b, -1, q)
+        img = prime.reduce_ints(self.cyc.num, unit % q)
+        if not img.is_zero():
+            return a - b, img
+        hits = sum(P.reduce_ints(self.cyc.num).is_zero()
+                   for P in cyclo_primes_above(self.m, q))
+        if hits > 1:
+            raise ValueError(f"valuation at q = {q} not readable: {hits} "
+                             "primes above q divide the core")
+        # N(c) = N(core) * den^phi(m)
+        n_num, n_den, c_den = self._core_ints
+        v_norm = (sylow_valuation(n_num, q) - sylow_valuation(n_den, q)
+                  + self.cyc.field.degree * sylow_valuation(c_den, q))
+        return a - b + v_norm // prime.f, None
+
     def unit_part_image(self, prime: CycloPrime) -> FFElement:
-        """Image of alpha / q^{v_q(alpha)} in the residue field at `prime`."""
-        q = prime.q
-        v = self.v_q(q)
-        rat = self.rat / Fraction(q) ** v
-        img = prime.reduce(self.cyc)
-        num = rat.numerator % q
-        den_inv = pow(rat.denominator % q, -1, q)
-        scaled = img * ((num * den_inv) % q)
-        if scaled.is_zero():
-            raise ValueError(f"zero image at q = {q}")
-        return scaled
+        """Image of alpha / q^{v_P(alpha)} in the residue field at `prime`."""
+        img = self.reading(prime)[1]
+        if img is None:
+            raise ValueError(f"zero image at q = {prime.q}")
+        return img
 
     def __repr__(self):
         if self.rat == 1:

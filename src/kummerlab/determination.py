@@ -24,7 +24,6 @@ licenses the cyclic continuation above the compositum.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,9 +47,9 @@ from .cyclotomic import (
     CycloField,
     Datum,
     PPSubfieldLattice,
-    bad_primes,
     cyclo_primes_above,
     pp_lattice,
+    unit_orders,
 )
 from .lseries import PrimeSelector, pole_book, slope_experiment, tail_threshold
 from .splitting import (
@@ -230,11 +229,11 @@ def quadratic_window_certificate(d, alpha) -> WindowCertificate:
 def cyclotomic_window_certificate(p: int) -> WindowCertificate:
     """First window of the root-of-unity chain over its ground field."""
     c = 1 if p == 2 else p
-    mod = p ** 3
-    group = [a for a in range(1, mod)
-             if math.gcd(a, mod) == 1 and a % c == 1 % c]
-    size = len(group)
-    exponent = max(sympy.n_order(a, mod) for a in group)
+    # the orders of the window group's elements: units = 1 mod c, mod p^3
+    orders = [f for a, f in enumerate(unit_orders(p ** 3))
+              if f and a % c == 1 % c]
+    size = len(orders)
+    exponent = max(orders)
     base = "Q" if c == 1 else f"Q(zeta_{c})"
     return WindowCertificate(
         base, "cyclotomic", None, (),
@@ -270,13 +269,11 @@ class ChainPlan:
 class TowerPlan:
     kind: str                    # "direct" | "single" | "forked"
     K_desc: object
-    k_conductor: int
     p: int
     n: int
     height: TowerHeight
     D: int | None                # squarefree kernel for quadratic K
     lattice: PPSubfieldLattice | None
-    e_tower: KummerTower | None
     chains: tuple[ChainPlan, ...]
 
     @property
@@ -298,7 +295,7 @@ def _field_profile(K_desc):
     over Q(zeta_m) with mu_p present; only the direct case is buildable).
     """
     if isinstance(K_desc, int):
-        if int(sympy.totient(K_desc)) != 2:
+        if K_desc not in (3, 4, 6):      # phi(m) = 2
             raise ValueError(f"unsupported base field class: conductor "
                              f"{K_desc} is not a quadratic field")
         return (2, "quadratic", -1 if K_desc == 4 else -3)
@@ -338,8 +335,7 @@ def build_L(K_desc, n: int) -> TowerPlan:
     p, cls, D = _field_profile(K_desc)
     ht = choose_tower_height(n, p)
     if ht.direct:
-        return TowerPlan("direct", K_desc, 1 if cls == "quadratic" else p,
-                         p, n, ht, D, None, None, ())
+        return TowerPlan("direct", K_desc, p, n, ht, D, None, ())
     if cls == "kummer-step":
         raise ValueError("unsupported base field class: only the direct "
                          "case is available for this step description")
@@ -349,11 +345,10 @@ def build_L(K_desc, n: int) -> TowerPlan:
                             Datum(CycloField(m2).zeta()), base_is_step=True)
         plan_chain = ChainPlan(0, None, None, None, (),
                                cyclotomic_window_certificate(p), chain, None)
-        return TowerPlan("single", K_desc, 1 if p == 2 else p, p, n, ht,
-                         -1 if p == 2 else None, None, None, (plan_chain,))
+        return TowerPlan("single", K_desc, p, n, ht,
+                         -1 if p == 2 else None, None, (plan_chain,))
     # forked quadratic case
     lattice = pp_lattice(1, 2, Datum.of(D), Datum.of(-1))
-    e_tower = KummerTower(4, 2, 1, Datum.of(D, m=4))
     chains = []
     for tag in lattice.subfields:
         if tag.label == 0:
@@ -381,8 +376,7 @@ def build_L(K_desc, n: int) -> TowerPlan:
             chosen = candidates[0]
         chains.append(ChainPlan(tag.label, kernel, tag.datum, chosen,
                                 candidates, window, None, None))
-    return TowerPlan("forked", K_desc, 1, p, n, ht, D, lattice, e_tower,
-                     tuple(chains))
+    return TowerPlan("forked", K_desc, p, n, ht, D, lattice, tuple(chains))
 
 
 # ---------------------------------------------------------------------------
@@ -418,19 +412,20 @@ class CoverReport:
 def _inert_rational_primes(plan: TowerPlan, X: int) -> list[int]:
     """Rational primes q <= X whose places of k are inert in K.
 
-    The primes `bad_primes` leaves out of Q(sqrt D) -- 2 and the divisors
-    of D -- ramify somewhere in the construction and stay excluded,
-    matching the unramified-only scope of every claim here.
+    For K = Q(sqrt D) these are the degree-2 rows of K's place table.  The
+    primes that table leaves out -- 2 and the divisors of D -- ramify
+    somewhere in the construction and stay excluded, matching the
+    unramified-only scope of every claim here.
     """
     if plan.D is not None:
-        skip = bad_primes(1, 2, (Datum.of(plan.D),))
-        return [q for q in sympy.primerange(3, X + 1)
-                if q not in skip and _legendre(plan.D, q) == -1]
+        base = KummerTower(1, 2, 1, Datum.of(plan.D))
+        return [q for q, f, _ in place_table(base, X) if f == 2]
     if plan.kind == "direct":
         return []
     p = plan.p       # odd root-step: k = Q(zeta_p), K = k(mu_{p^2})
+    big, small = unit_orders(p * p), unit_orders(p)
     return [q for q in sympy.primerange(2, X + 1)
-            if q != p and sympy.n_order(q, p * p) == p * sympy.n_order(q, p)]
+            if q != p and big[q % (p * p)] == p * small[q % p]]
 
 
 def verify_high_degree_cover(plan: TowerPlan, X: int) -> CoverReport:
@@ -590,12 +585,8 @@ class DeterminationReport:
 
 def _realizable_degrees(field_desc) -> set[int] | None:
     """Residue degrees the field can produce, or None when unknown."""
-    if field_desc == 1:
-        return {1}
     if isinstance(field_desc, int):
-        m = field_desc
-        return {int(sympy.n_order(a, m)) for a in range(1, m)
-                if math.gcd(a, m) == 1}
+        return set(unit_orders(field_desc)) - {0}
     t: KummerTower = field_desc
     shape = tower_shape(t)
     if shape == "quadratic":

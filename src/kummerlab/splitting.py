@@ -28,6 +28,7 @@ from .cyclotomic import (
     PPSubfieldLattice,
     bad_primes,
     cyclo_primes_above,
+    unit_orders,
 )
 from .finitefield import (
     first_nonresidue,
@@ -265,13 +266,15 @@ def _enter(tower: KummerTower, prime: CycloPrime) -> tuple | None:
         raise ValueError(f"q = {p} is wild: the residue criterion does not apply")
     if prime.m != tower.m:
         raise ValueError("prime lives over a different conductor")
-    if any(d.v_q(q) % p for d in (tower.datum, *tower.pre_steps)):
+    readings = [d.reading(prime) for d in (tower.datum, *tower.pre_steps)]
+    if any(v % p for v, _ in readings):
         return None
-    image = tower.datum.unit_part_image(prime)
+    (_, image), *pre_images = readings
+    if image is None or any(c is None for _, c in pre_images):
+        raise ValueError(f"zero image at q = {q}")
     count = 1
     growth: list[RelField] = []
-    for pre in tower.pre_steps:
-        c = pre.unit_part_image(prime)
+    for _, c in pre_images:
         for g in growth:
             c = g.embed(c)
         if _splits(c, p):
@@ -324,8 +327,6 @@ def _int_phi_roots(m: int, q: int) -> list[int]:
     """Roots of Phi_m mod q as ints, for q = 1 mod m (split case), sorted."""
     if m == 1:
         return [1]
-    if m == 2:
-        return [q - 1]
     for y in range(2, q):
         z = pow(y, (q - 1) // m, q)
         if all(pow(z, m // ell, q) != 1 for ell in sympy.primefactors(m)):
@@ -366,11 +367,12 @@ def degree1_density(step: KummerTower, X: int) -> DensityReport:
     if p != 2 and m % p:
         raise ValueError(f"mu_{p} not contained in Q(zeta_{m})")
     skip = bad_primes(m, p, (step.datum,))
+    orders = unit_orders(m)
     deg1 = total = 0
     for q in sympy.primerange(2, X + 1):
         if q in skip:
             continue
-        f = sympy.n_order(q, m) if m > 1 else 1
+        f = orders[q % m]
         if q ** f > X:
             continue
         if f == 1:
@@ -409,7 +411,13 @@ def quartic_tower_exponents(rat: Fraction, r: int, q: int):
     f4 = 1 if q % 4 == 1 else 2
     d = rat.numerator * pow(rat.denominator, -1, q) % q
     s = sylow_valuation(q ** f4 - 1, 2)
-    branches = {(0, sylow_valuation(int(sympy.n_order(d, q)), 2)): 1}
+    # u = v_2(ord d): d^((q-1)/2^t), 2^t || q-1, has order 2^u
+    z = pow(d, (q - 1) >> sylow_valuation(q - 1, 2), q)
+    u = 0
+    while z != 1:
+        z = z * z % q
+        u += 1
+    branches = {(0, u): 1}
     for _ in range(r):
         nxt = {}
 
@@ -471,12 +479,13 @@ def tower_shape(t: KummerTower) -> str | None:
 
 
 def _cyclotomic_profiler(m: int):
-    if m == 1:
-        return lambda q: ((1, 1),)
-    phi = int(sympy.totient(m))
+    orders = unit_orders(m)
+    phi = len(orders) - orders.count(0)
 
     def profile(q):
-        f = int(sympy.n_order(q, m))
+        f = orders[q % m]
+        if not f:
+            raise ValueError(f"q = {q} ramifies in conductor {m}")
         return ((f, phi // f),)
     return profile
 

@@ -189,6 +189,26 @@ def test_split_trace_characteristic_3_relative_field(capsys):
                    "3,3,0,3,1\n3,3,1,6,1\n3,3,2,6,2\n")
 
 
+def test_split_trace_unit_primes_above_core_support(capsys):
+    # z + 2 has norm 11 and vanishes at one of the four primes above 11;
+    # the other three are units there and trace
+    code, out = run(["split", "trace", "--m", "5", "--p", "2", "--r", "2",
+                     "--alpha", "z+2", "--q", "11", "--format", "csv"], capsys)
+    assert code == 0
+    assert out == ("prime_index,base_degree,level,degree,count\n"
+                   "0,1,0,1,1\n0,1,1,1,2\n0,1,2,1,2\n0,1,2,2,1\n"
+                   "1,1,0,1,1\n1,1,1,2,1\n1,1,2,2,2\n"
+                   "2,1,0,1,1\n2,1,1,2,1\n2,1,2,2,2\n")
+    code, out = run(["split", "trace", "--m", "5", "--p", "2", "--r", "2",
+                     "--alpha", "z+2", "--q", "11"], capsys)
+    assert code == 0 and json.loads(out)["ramified"] is True
+    code, out = run(["split", "classify", "--m", "5", "--p", "2",
+                     "--alpha", "z+2", "--q", "11"], capsys)
+    assert code == 0
+    assert [r["class"] for r in json.loads(out)["rows"]] == [
+        "DEGREE1", "DEGREEP", "DEGREEP", "RAMIFIED"]
+
+
 def test_split_density_report(capsys):
     code, out = run(["split", "density", "--m", "4", "--p", "2",
                      "--alpha", "1+z", "--X", "5000"], capsys)

@@ -21,6 +21,7 @@ from kummerlab.cyclotomic import (
     frobenius,
     pp_lattice,
     require_not_pth_power,
+    unit_orders,
 )
 from kummerlab.finitefield import is_pth_power, make_ext_field
 from kummerlab.lseries import root_of_unity
@@ -528,3 +529,50 @@ def test_noncanonical_element_raises_under_optimize():
     assert _run_optimized(_NON_CANONICAL) == [
         "ValueError", "ValueError", "ValueError", "ValueError", "ValueError",
         "TypeError", "2/5 + 3/5*z"]
+
+
+def test_unit_orders_match_n_order():
+    assert unit_orders(1) == (1,)
+    for m in range(2, 201):
+        table = unit_orders(m)
+        assert len(table) == m
+        for a, f in enumerate(table):
+            assert f == (sympy.n_order(a, m) if math.gcd(a, m) == 1 else 0)
+        assert len(table) - table.count(0) == sympy.totient(m)
+
+
+def _core_norm_valuation(d, q):
+    n = d.value().norm()
+    return (sympy.multiplicity(q, n.numerator)
+            - sympy.multiplicity(q, n.denominator))
+
+
+@pytest.mark.parametrize("m,coeffs,rat", [
+    (5, (2, 1), 1), (5, (2, 1), Fraction(3, 11)), (3, (Fraction(1, 7), 1), 1),
+    (7, (3, 1), 1), (13, (2, 1), 1), (4, (3, 2), 1), (4, (2, 1), 5),
+])
+def test_reading_at_core_support(m, coeffs, rat):
+    """Per-prime valuations add up to the norm's: sum f * v_P = v_q(N)."""
+    d = Datum(CycloField(m).element(coeffs), Fraction(rat))
+    support = sorted(d.core_support() - set(sympy.primefactors(m)))
+    assert support
+    for q in support:
+        readings = [(P, *d.reading(P)) for P in cyclo_primes_above(m, q)]
+        assert sum(P.f * v for P, v, _ in readings) \
+            == _core_norm_valuation(d, q)
+        for P, v, img in readings:
+            if img is not None:
+                assert v == sympy.multiplicity(q, d.rat.numerator) \
+                    - sympy.multiplicity(q, d.rat.denominator * d.cyc.den)
+
+
+def test_reading_refuses_two_primes_dividing_the_core():
+    # 11 = (z + 2)(...) in Q(zeta_5); its product with a conjugate vanishes
+    # at two of the four primes above 11
+    F = CycloField(5)
+    x = F.element((2, 1))
+    d = Datum(x * F.galois(x, 2))
+    P = next(P for P in cyclo_primes_above(5, 11)
+             if P.reduce(d.cyc).is_zero())
+    with pytest.raises(ValueError, match="2 primes above q divide the core"):
+        d.reading(P)

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -19,6 +20,7 @@ from kummerlab.automorphic import (
 from kummerlab.cyclotomic import CycloField, Datum, cyclo_primes_above
 from kummerlab.determination import (
     EXIT_CODES,
+    _inert_rational_primes,
     _peel,
     build_L,
     check_agreement,
@@ -33,6 +35,7 @@ from kummerlab.determination import (
     run_pipeline,
     verify_high_degree_cover,
 )
+from kummerlab.finitefield import sylow_valuation
 from kummerlab.splitting import norm_subgroup, quartic_tower_exponents, \
     trace_prime
 from kummerlab.tower import KummerTower
@@ -159,7 +162,7 @@ def test_build_single_gaussian():
 def test_build_forked_frozen():
     plan = build_L(K3, 2)
     assert plan.kind == "forked" and plan.D == 3
-    assert plan.lattice is not None and plan.e_tower.m == 4
+    assert plan.lattice is not None
     assert [c.label for c in plan.chains] == [1, 2]
     ch1 = plan.chain_for(1)
     assert ch1.subfield_kernel == -1
@@ -259,6 +262,25 @@ def test_cover_corrupted_plan_fails_loudly():
     assert all("label mismatch" in e.detail for e in cov.entries)
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_root_step_inert_primes_match_n_order_rule(p):
+    K = KummerTower(p, p, 1, Datum(CycloField(p).zeta()))
+    plan = build_L(K, 3 if p == 5 else 4)
+    assert plan.kind == "single"
+    assert _inert_rational_primes(plan, 2000) == [
+        q for q in sympy.primerange(2, 2001)
+        if q != p and sympy.n_order(q, p * p) == p * sympy.n_order(q, p)]
+
+
+@pytest.mark.parametrize("K,D", [(QI, -1), (3, -3), (K3, 3), (K5, 5),
+                                 (KummerTower(1, 2, 1, Datum.of(-7)), -7)])
+def test_quadratic_inert_primes_match_legendre(K, D):
+    plan = build_L(K, 4)
+    assert _inert_rational_primes(plan, 2000) == [
+        q for q in sympy.primerange(3, 2001)
+        if D % q and sympy.legendre_symbol(D % q, q) == -1]
+
+
 def test_cover_direct_routes():
     cov = verify_high_degree_cover(build_L(K3, 1), 50)
     assert cov.kind == "direct" and cov.full
@@ -324,6 +346,42 @@ def test_quartic_exponents_match_trace(D, r):
         f4 = 1 if q % 4 == 1 else 2
         assert sum(f * c for f, c in quartic_tower_exponents(D, r, q)) \
             == f4 * 2 ** r
+
+
+def _quartic_by_n_order(rat, r, q):
+    """The quartic bookkeeping with u = v_2(ord d) read from sympy.n_order."""
+    rat = Fraction(rat)
+    f4 = 1 if q % 4 == 1 else 2
+    d = rat.numerator * pow(rat.denominator, -1, q) % q
+    s = sylow_valuation(q ** f4 - 1, 2)
+    branches = {(0, sylow_valuation(int(sympy.n_order(d, q)), 2)): 1}
+    for _ in range(r):
+        nxt = {}
+        for (k, u), c in branches.items():
+            if u == 0:
+                moves = (((k, 0), c), ((k, 1), c))
+            elif u < s + k:
+                moves = (((k, u + 1), 2 * c),)
+            else:
+                moves = (((k + 1, u + 1), c),)
+            for key, n in moves:
+                nxt[key] = nxt.get(key, 0) + n
+        branches = nxt
+    out = {}
+    for (k, _), c in branches.items():
+        out[f4 << k] = out.get(f4 << k, 0) + c
+    return tuple(sorted(out.items()))
+
+
+def test_quartic_exponents_match_n_order_rule():
+    for q in sympy.primerange(3, 600):
+        ds = range(1, q) if q < 200 else range(1, 13)
+        for d in ds:
+            if d % q:
+                assert quartic_tower_exponents(d, 3, q) \
+                    == _quartic_by_n_order(d, 3, q), (d, q)
+    assert quartic_tower_exponents(Fraction(3, 7), 2, 13) \
+        == _quartic_by_n_order(Fraction(3, 7), 2, 13)
 
 
 def test_quartic_exponents_refuse_ramified():

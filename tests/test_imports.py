@@ -1,6 +1,7 @@
 """Every name a kummerlab module imports is referenced in that module,
 every module-level private function is referenced somewhere in the package,
-and no module runs text as code."""
+no module runs text as code, and multiplicative orders mod m come from one
+table."""
 
 import ast
 import pathlib
@@ -176,3 +177,46 @@ def test_unbounded_inconclusive_raises_detected():
 @pytest.mark.parametrize("module", MODULES)
 def test_inconclusive_only_under_a_bound(module):
     assert unbounded_inconclusive_raises((SRC / module).read_text()) == []
+
+
+ORDER_NAMES = ("n_order", "totient")
+
+
+def order_names_outside(source: str, allowed: str | None) -> list[str]:
+    """`n_order` or `totient` named outside the function called `allowed`.
+
+    Residue degrees in Q(zeta_m) are read from `cyclotomic.unit_orders`, the
+    one place that computes multiplicative orders.
+    """
+    out = []
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside or node.name == allowed
+        name = node.id if isinstance(node, ast.Name) else \
+            node.attr if isinstance(node, ast.Attribute) else None
+        if name in ORDER_NAMES and not inside:
+            out.append(f"{name} (line {node.lineno})")
+        if isinstance(node, ast.alias) and node.name in ORDER_NAMES:
+            out.append(f"{node.name} (import)")
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(source), False)
+    return out
+
+
+def test_order_names_outside_detected():
+    src = ("import sympy\nfrom sympy import totient\n"
+           "def unit_orders(m):\n    return sympy.n_order(2, m)\n"
+           "def degree(q, m):\n    return sympy.n_order(q, m)\n"
+           "phi = totient(12)\n")
+    assert order_names_outside(src, "unit_orders") == [
+        "totient (import)", "n_order (line 6)", "totient (line 7)"]
+    assert order_names_outside(src, None)[1] == "n_order (line 4)"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_orders_only_in_unit_orders(module):
+    allowed = "unit_orders" if module == "cyclotomic.py" else None
+    assert order_names_outside((SRC / module).read_text(), allowed) == []

@@ -616,3 +616,10 @@ def test_place_profile_matches_trace(field):
         assert place_profile(field, q) == profile
         expected += [(q, f, c) for f, c in profile]
     assert place_table(field, 40) == tuple(expected)
+
+
+@pytest.mark.parametrize("field", [4, 9, 12, 15, 64])
+def test_place_profile_refuses_ramified_q(field):
+    for q in sympy.primefactors(field):
+        with pytest.raises(ValueError, match="ramifies in conductor"):
+            place_profile(field, q)
