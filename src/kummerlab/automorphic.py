@@ -103,24 +103,24 @@ def _units(N: int) -> tuple[int, ...]:
 class NormCharacter:
     """A Dirichlet character chi mod N, read at places v through Nv.
 
-    Values are exact: chi(a) = zeta_ord^exps[a].  The field tag names the
-    base field whose places it evaluates; it changes equality (see norm_equal)
-    but never the table.
+    Values are exact: chi(a) = zeta_order^exps[a] with int exponents, and
+    the constructor reduces them by gcd(order, *exps), so `order` is the
+    exact order of chi.  The field tag names the base field whose places it
+    evaluates; it changes equality (see norm_equal) but never the table.
     """
 
     __slots__ = ("modulus", "order", "exps", "field", "_key")
 
-    def __init__(self, modulus: int, exps: dict, field=1):
+    def __init__(self, modulus: int, order: int, exps: dict, field=1):
         units = _units(modulus)
         if set(exps) != set(units):
             raise ValueError("table must cover exactly the units of the modulus")
-        angles = {a: Fraction(e) % 1 for a, e in exps.items()}
-        order = 1
-        for f in angles.values():
-            order = order * f.denominator // math.gcd(order, f.denominator)
+        if order < 1:
+            raise ValueError(f"order must be >= 1, got {order}")
+        g = math.gcd(order, *exps.values())
         self.modulus = modulus
-        self.order = order
-        self.exps = {a: int(angles[a] * order) for a in units}
+        self.order = order // g
+        self.exps = {a: exps[a] // g % self.order for a in units}
         self.field = field
         self._key = None
         self._check_multiplicative()
@@ -142,24 +142,7 @@ class NormCharacter:
 
     @staticmethod
     def trivial(field=1) -> "NormCharacter":
-        return NormCharacter(1, {0: Fraction(0)}, field)
-
-    @staticmethod
-    def from_gen_images(modulus: int, images, field=1) -> "NormCharacter":
-        """Build from one exponent fraction per generator of the unit group."""
-        gens = unit_group_structure(modulus)
-        if len(images) != len(gens):
-            raise ValueError(f"expected {len(gens)} generator images")
-        images = [Fraction(x) % 1 for x in images]
-        for (g, d), x in zip(gens, images):
-            if (x * d) % 1:
-                raise ValueError(f"image of generator {g} must have order "
-                                 f"dividing {d}")
-        logs = _unit_logs(modulus)
-        exps = {a: sum((x * ea[i] for i, x in enumerate(images)),
-                       Fraction(0)) % 1
-                for a, ea in logs.items()}
-        return NormCharacter(modulus, exps, field)
+        return NormCharacter(1, 1, {0: 0}, field)
 
     # -- values --------------------------------------------------------------
 
@@ -182,21 +165,24 @@ class NormCharacter:
         raise AssertionError("unreachable: N itself always works")
 
     def primitive(self) -> "NormCharacter":
-        """The inducing character mod the conductor."""
+        """The inducing character mod the conductor c.
+
+        chi is constant on the units above each unit mod c, and every unit
+        mod c has one above it, so reading the table mod c covers it.
+        """
         c = self.conductor()
         if c == self.modulus:
             return self
-        table = {}
-        for a in _units(c):
-            table[a] = Fraction(self.exps[_lift_unit(a, c, self.modulus)],
-                                self.order)
-        return NormCharacter(c, table, self.field)
+        return NormCharacter(c, self.order,
+                             {a % c: e for a, e in self.exps.items()},
+                             self.field)
 
     def lift_to(self, M: int) -> "NormCharacter":
         if M % self.modulus:
             raise ValueError("can only lift to a multiple of the modulus")
-        table = {a: self.angle(a) for a in _units(M)}
-        return NormCharacter(M, table, self.field)
+        return NormCharacter(M, self.order,
+                             {a: self.exps[a % self.modulus] for a in _units(M)},
+                             self.field)
 
     def key(self):
         """Canonical identity as a Dirichlet character (field-independent)."""
@@ -213,25 +199,26 @@ class NormCharacter:
     def __mul__(self, other: "NormCharacter") -> "NormCharacter":
         if self.field != other.field:
             raise ValueError("cannot multiply characters over different fields")
-        M = self.modulus * other.modulus // math.gcd(self.modulus,
-                                                     other.modulus)
-        table = {a: self.angle(a) + other.angle(a) for a in _units(M)}
-        return NormCharacter(M, table, self.field).primitive()
+        M = math.lcm(self.modulus, other.modulus)
+        o = math.lcm(self.order, other.order)
+        s, t = o // self.order, o // other.order
+        table = {a: s * self.exps[a % self.modulus]
+                 + t * other.exps[a % other.modulus] for a in _units(M)}
+        return NormCharacter(M, o, table, self.field).primitive()
 
     def inverse(self) -> "NormCharacter":
-        table = {a: -self.angle(a) for a in _units(self.modulus)}
-        return NormCharacter(self.modulus, table, self.field)
+        return NormCharacter(self.modulus, self.order,
+                             {a: -e for a, e in self.exps.items()}, self.field)
 
     conjugate = inverse          # finite order: conjugate = inverse
 
-    def __pow__(self, e: int) -> "NormCharacter":
-        table = {a: e * self.angle(a) for a in _units(self.modulus)}
-        return NormCharacter(self.modulus, table, self.field).primitive()
+    def __pow__(self, k: int) -> "NormCharacter":
+        return NormCharacter(self.modulus, self.order,
+                             {a: k * e for a, e in self.exps.items()},
+                             self.field).primitive()
 
     def retag(self, field) -> "NormCharacter":
-        return NormCharacter(self.modulus,
-                             {a: self.angle(a) for a in _units(self.modulus)},
-                             field)
+        return NormCharacter(self.modulus, self.order, self.exps, field)
 
     def __eq__(self, other):
         return (isinstance(other, NormCharacter)
@@ -253,28 +240,26 @@ class NormCharacter:
 
     @staticmethod
     def from_json(doc: dict, field=1) -> "NormCharacter":
-        o = int(doc.get("order", 1))
-        table = {int(a): Fraction(int(e), o)
-                 for a, e in doc["table"].items()}
-        return NormCharacter(int(doc["modulus"]), table, field)
-
-
-def _lift_unit(a: int, c: int, N: int) -> int:
-    """Some b = a mod c with gcd(b, N) = 1."""
-    for b in range(a % c, N + c, c):
-        if math.gcd(b, N) == 1:
-            return b % N
-    raise AssertionError("unreachable")
+        return NormCharacter(int(doc["modulus"]), int(doc.get("order", 1)),
+                             {int(a): int(e) for a, e in doc["table"].items()},
+                             field)
 
 
 def dirichlet_characters(N: int, field=1) -> list[NormCharacter]:
-    """All phi(N) characters mod N, trivial first, deterministic order."""
+    """All phi(N) characters mod N, trivial first, deterministic order.
+
+    The i-th generator (g_i, d_i) goes to zeta_{d_i}^{k_i}, written over
+    o = lcm(d_i) as exponent k_i * o / d_i; the k run in product order.
+    """
     gens = unit_group_structure(N)
+    o = math.lcm(*(d for _, d in gens))
+    logs = _unit_logs(N)
     out = []
-    choices = [range(d) for _, d in gens]
-    for ks in itertools.product(*choices):
-        out.append(NormCharacter.from_gen_images(
-            N, [Fraction(k, d) for k, (_, d) in zip(ks, gens)], field))
+    for ks in itertools.product(*(range(d) for _, d in gens)):
+        w = [k * (o // d) for k, (_, d) in zip(ks, gens)]
+        out.append(NormCharacter(
+            N, o, {a: sum(x * y for x, y in zip(w, ea))
+                   for a, ea in logs.items()}, field))
     return out
 
 
@@ -299,14 +284,6 @@ def place_norms(field_desc, q: int) -> tuple[int, ...]:
         raise ValueError(f"q = {q} is excluded or not prime")
     return tuple(q ** f for f, count in place_profile(field_desc, q)
                  for _ in range(count))
-
-
-def place_norm(v) -> int:
-    """Nv for a place given as an int norm or a (q, f) pair."""
-    if isinstance(v, int):
-        return v
-    q, f = v
-    return q ** f
 
 
 _H_CACHE: dict = {}
@@ -467,9 +444,8 @@ class SatakeClass:
             ((a * r) % 1, tp) for a, tp in self.eigenvalues)))
 
 
-def satake(pi: IsobaricRep, v) -> SatakeClass:
-    """The class at an unramified place; v as in place_norm."""
-    Nv = place_norm(v)
+def satake(pi: IsobaricRep, Nv: int) -> SatakeClass:
+    """The class at an unramified place of norm Nv."""
     eig = []
     for chi, m in pi.components:
         if math.gcd(chi.modulus, Nv) != 1:

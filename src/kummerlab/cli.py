@@ -218,7 +218,7 @@ def _load_pair(path: str, field=None):
     try:
         pi = IsobaricRep.from_json(doc["pi"], field=field)
         pi2 = IsobaricRep.from_json(doc["pi2"], field=field)
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, ZeroDivisionError) as e:
         raise ValueError(f"malformed pair file {path}: {e!r}")
     return pi, pi2
 

@@ -284,13 +284,6 @@ def unit_orders(m: int) -> tuple[int, ...]:
                  for a in range(m))
 
 
-def frobenius(m: int, q: int) -> int:
-    """Frobenius at q as the residue q mod m acting by zeta -> zeta^q."""
-    if m > 1 and m % q == 0:
-        raise ValueError(f"q = {q} ramifies in conductor {m}")
-    return q % m if m > 1 else 1
-
-
 @lru_cache(maxsize=None)
 def cyclo_primes_above(m: int, q: int) -> tuple["CycloPrime", ...]:
     """Primes above unramified q, one per Frobenius orbit of Phi_m roots.

@@ -541,13 +541,13 @@ def _field_doc(field_desc) -> str:
 
 
 def check_agreement(pi: IsobaricRep, pi2: IsobaricRep, X: int,
-                    degrees=(1,), exclude=()) -> AgreementHypothesis:
+                    degrees=(1,)) -> AgreementHypothesis:
     """Compare Satake classes at every place of degree in `degrees` up to X.
 
     Ramified places land in the exception list: agreement statements are
     about all but finitely many places, and the exceptions name the finite
-    set left out -- the field's `field_bad_primes` (plus `exclude`) and the
-    pair's `ramified_primes`, the two exclusion rules every claim shares.
+    set left out -- the field's `field_bad_primes` and the pair's
+    `ramified_primes`, the two exclusion rules every claim shares.
     """
     if pi.field != pi2.field:
         raise ValueError("the pair must live over one field")
@@ -555,7 +555,7 @@ def check_agreement(pi: IsobaricRep, pi2: IsobaricRep, X: int,
     if not degrees or degrees[0] < 1:
         raise ValueError("degrees must be positive")
     field = pi.field
-    bad = field_bad_primes(field) | set(exclude)
+    bad = field_bad_primes(field)
     ram = ramified_primes(pi, pi2)
     exceptions = tuple((q, "field" if q in bad else "ramified")
                        for q in sorted(bad | ram)
@@ -614,7 +614,7 @@ def _peel(pi: IsobaricRep, pi2: IsobaricRep):
 
 def determination_experiment(pi: IsobaricRep, pi2: IsobaricRep,
                              hypothesis: AgreementHypothesis,
-                             grid=None, slope_cutoff: int | None = None
+                             slope_cutoff: int | None = None
                              ) -> DeterminationReport:
     """Exact verdict for the pair, with optional numerical corroboration.
 
@@ -634,8 +634,7 @@ def determination_experiment(pi: IsobaricRep, pi2: IsobaricRep,
     if slope_cutoff is not None:
         selector = PrimeSelector(pi.field, slope_cutoff,
                                  exclude=frozenset(ramified_primes(pi, pi2)))
-        kwargs = {} if grid is None else {"grid": tuple(grid)}
-        slope = slope_experiment(pi, pi2, selector, **kwargs)
+        slope = slope_experiment(pi, pi2, selector)
         tol = max(0.2 * book.neg_ord, 0.2)
         consistent = (abs(slope.completed_slope - book.neg_ord) <= tol
                       or abs(slope.compensated_slope - book.neg_ord) <= tol)
@@ -841,8 +840,9 @@ def final_descent(plan: TowerPlan, pi: IsobaricRep, pi2: IsobaricRep,
         if q in ram:
             continue
         cert = inert_splits_in_top(plan.lattice, q)
-        agree = satake(pi, (q, plan.p)) == satake(pi2, (q, plan.p))
-        rows.append(TransportRow(q, q ** plan.p, cert.primes_in_top,
+        Nv = q ** plan.p
+        agree = satake(pi, Nv) == satake(pi2, Nv)
+        rows.append(TransportRow(q, Nv, cert.primes_in_top,
                                  cert.relative_degree, agree))
         if not agree and sigma_witness is None:
             sigma_witness = q

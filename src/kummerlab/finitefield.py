@@ -248,10 +248,6 @@ class FFElement:
             raise ZeroDivisionError("inverse of zero")
         return self ** (self.field.size - 2)
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        return self * other.inverse()
-
     def _coerce(self, other):
         if isinstance(other, FFElement):
             if other.field != self.field:

@@ -1,5 +1,6 @@
 """Character model: exact tables, isobaric normalization, Satake data."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -94,10 +95,9 @@ def test_conductor_and_primitive():
 
 def test_bad_table_rejected():
     with pytest.raises(ValueError, match="multiplicative"):
-        NormCharacter(5, {1: Fraction(0), 2: Fraction(1, 4),
-                          3: Fraction(1, 4), 4: Fraction(1, 4)})
+        NormCharacter(5, 4, {1: 0, 2: 1, 3: 1, 4: 1})
     with pytest.raises(ValueError, match="cover exactly"):
-        NormCharacter(5, {1: Fraction(0)})
+        NormCharacter(5, 1, {1: 0})
 
 
 def test_character_arithmetic():
@@ -117,6 +117,117 @@ def test_multiplicativity_mod_24(i, j):
     units = [a for a in range(24) if math.gcd(a, 24) == 1]
     a, b = units[i], units[j]
     assert chi.angle(a * b) == (chi.angle(a) + chi.angle(b)) % 1
+
+
+# ---------------------------------------------------------------------------
+# oracle: a character as a table of Fraction turns, the form the int
+# exponents replace.  A reference character is (N, {unit: Fraction in [0, 1)}).
+
+def _ref_units(N):
+    return [a for a in range(N) if math.gcd(a, N) == 1]
+
+
+def _ref_characters(N):
+    """Every character mod N from its generator images, in product order."""
+    gens = unit_group_structure(N)
+    ranges = [range(d) for _, d in gens]
+    out = []
+    for ks in itertools.product(*ranges):
+        table = {}
+        for js in itertools.product(*ranges):
+            a = math.prod(pow(g, j, N) for (g, _), j in zip(gens, js)) % N
+            table[a] = sum((Fraction(k * j, d) for k, j, (_, d)
+                            in zip(ks, js, gens)), Fraction(0)) % 1
+        out.append((N, table))
+    return out
+
+
+def _ref_canon(ref):
+    """(modulus, order, exps): the exact order and exponents, units sorted."""
+    N, table = ref
+    order = math.lcm(*(t.denominator for t in table.values()))
+    return N, order, {a: t.numerator * (order // t.denominator)
+                       for a, t in sorted(table.items())}
+
+
+def _ref_conductor(ref):
+    N, table = ref
+    return next(d for d in sorted(sympy.divisors(N))
+                if all(t == 0 for a, t in table.items() if a % d == 1 % d))
+
+
+def _ref_primitive(ref):
+    N, table = ref
+    c = _ref_conductor(ref)
+    lift = {a: next(b % N for b in range(a, N + c, c) if math.gcd(b, N) == 1)
+            for a in _ref_units(c)}
+    return c, {a: table[b] for a, b in lift.items()}
+
+
+def _ref_lift(ref, M):
+    N, table = ref
+    return M, {a: table[a % N] for a in _ref_units(M)}
+
+
+def _ref_mul(x, y):
+    (N1, t1), (N2, t2) = x, y
+    M = math.lcm(N1, N2)
+    return _ref_primitive((M, {a: (t1[a % N1] + t2[a % N2]) % 1
+                               for a in _ref_units(M)}))
+
+
+def _ref_pow(ref, k):
+    N, table = ref
+    return _ref_primitive((N, {a: (k * t) % 1 for a, t in table.items()}))
+
+
+def _ref_inverse(ref):
+    N, table = ref
+    return N, {a: (-t) % 1 for a, t in table.items()}
+
+
+def _assert_same(chi, ref):
+    N, order, exps = _ref_canon(ref)
+    assert (chi.modulus, chi.order) == (N, order)
+    assert list(chi.exps.items()) == list(exps.items())
+    c, o, e = _ref_canon(_ref_primitive(ref))
+    assert chi.key() == (c, o, tuple(e.values()))
+    assert chi.conductor() == c
+
+
+SMALL = [pair for M in (4, 5)
+         for pair in zip(dirichlet_characters(M), _ref_characters(M))]
+
+
+@pytest.mark.parametrize("N", range(1, 61))
+def test_int_exponents_match_fraction_tables(N):
+    chars, refs = dirichlet_characters(N), _ref_characters(N)
+    assert len(chars) == len(refs)
+    for i, (chi, ref) in enumerate(zip(chars, refs)):
+        _assert_same(chi, ref)
+        back = NormCharacter.from_json(chi.to_json())
+        assert list(back.exps.items()) == list(chi.exps.items())
+        assert (back.modulus, back.order) == (chi.modulus, chi.order)
+        _assert_same(chi.inverse(), _ref_inverse(ref))
+        _assert_same(chi.primitive(), _ref_primitive(ref))
+        for M in (2 * N, 3 * N):
+            _assert_same(chi.lift_to(M), _ref_lift(ref, M))
+        for k in range(-3, 6):
+            _assert_same(chi ** k, _ref_pow(ref, k))
+        j = (i + 1) % len(chars)
+        _assert_same(chi * chars[j], _ref_mul(ref, refs[j]))
+        for psi, ref2 in SMALL:
+            _assert_same(chi * psi, _ref_mul(ref, ref2))
+
+
+def test_constructor_reduces_and_rejects_orders():
+    chi = NormCharacter(5, 8, {1: 0, 2: 4, 3: 4, 4: 0})
+    assert (chi.order, chi.exps) == (2, {1: 0, 2: 1, 3: 1, 4: 0})
+    assert NormCharacter(5, 4, {1: 4, 2: -3, 3: 7, 4: 2}).exps == \
+        character_of_order(5, 4).exps
+    for order in (0, -4):
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            NormCharacter(5, order, {1: 0, 2: 1, 3: 3, 4: 2})
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +272,7 @@ def test_base_change_eigenvalue_powers():
     pi = make_isobaric([(CHI4, 1)])
     piM = base_change(pi, 4)
     # above 3 the place has degree 2 and the eigenvalue is (-1)^2 = 1
-    assert satake(piM, (3, 2)).eigenvalues == ((0, 0),)
+    assert satake(piM, 9).eigenvalues == ((0, 0),)
     assert base_change(make_isobaric([(TRIV, 1)]), 4) == \
         make_isobaric([(TRIV, 1)], 0, 4)
 

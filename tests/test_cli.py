@@ -443,6 +443,20 @@ def test_malformed_pair_exits_64(tmp_path, capsys):
     assert code == 64
 
 
+@pytest.mark.parametrize("key,value", [("order", 0), ("order", -4),
+                                       ("t", "1/0")])
+def test_malformed_character_exits_64(tmp_path, capsys, key, value):
+    # one side of an equal pair edited: a zero order, a negative order (once
+    # read as the conjugate) and a zero-denominator shift
+    side = _rep([character_of_order(5, 4).retag(QI)], QI).to_json()
+    bad = json.loads(json.dumps(side))
+    (bad if key == "t" else bad["components"][0])[key] = value
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"pi": side, "pi2": bad}))
+    code, out = run(["theorem-a", "--K", "Q(i)", "--pair", str(path)], capsys)
+    assert (code, out) == (64, "")
+
+
 def test_tower_verify_inconclusive_exits_3(capsys):
     code, _ = run(["tower", "verify", "--m", "4", "--p", "2", "--r", "2",
                    "--alpha", "1+z", "--bound", "2"], capsys)

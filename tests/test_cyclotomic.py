@@ -18,7 +18,6 @@ from kummerlab.cyclotomic import (
     cyclo_primes_above,
     cyclotomic_poly_coeffs,
     datum_power_certificate,
-    frobenius,
     pp_lattice,
     require_not_pth_power,
     unit_orders,
@@ -81,16 +80,7 @@ def test_ramified_conductor_rejected():
     with pytest.raises(ValueError):
         cyclo_primes_above(4, 2)
     with pytest.raises(ValueError):
-        frobenius(9, 3)
-    with pytest.raises(ValueError):
         cyclo_primes_above(4, 15)  # not prime
-
-
-def test_frobenius_residue():
-    assert frobenius(4, 7) == 3
-    assert frobenius(4, 5) == 1
-    assert frobenius(9, 2) == 2
-    assert frobenius(1, 13) == 1
 
 
 @pytest.mark.parametrize("m,q", [(4, 5), (4, 7), (9, 2), (9, 7), (12, 5),

@@ -1,7 +1,7 @@
 """Every name a kummerlab module imports is referenced in that module,
 every module-level private function is referenced somewhere in the package,
-no module runs text as code, and multiplicative orders mod m come from one
-table."""
+no module runs text as code, multiplicative orders mod m come from one
+table, and a character makes a Fraction only when its value is read."""
 
 import ast
 import pathlib
@@ -220,3 +220,41 @@ def test_order_names_outside_detected():
 def test_orders_only_in_unit_orders(module):
     allowed = "unit_orders" if module == "cyclotomic.py" else None
     assert order_names_outside((SRC / module).read_text(), allowed) == []
+
+
+def fraction_calls_outside(source: str, cls: str, allowed: str) -> list[str]:
+    """Calls to `Fraction` in class `cls` outside its method `allowed`.
+
+    `NormCharacter` computes on int exponents over its order; `angle` is the
+    one method that turns an exponent into a Fraction of a full turn.
+    """
+    classes = [n for n in ast.walk(ast.parse(source))
+               if isinstance(n, ast.ClassDef) and n.name == cls]
+    if not classes:
+        return [f"no class {cls}"]
+    out = []
+    for item in classes[0].body:
+        if getattr(item, "name", None) == allowed:
+            continue
+        for n in ast.walk(item):
+            if isinstance(n, ast.Call) and (
+                    isinstance(n.func, ast.Name) and n.func.id == "Fraction"
+                    or isinstance(n.func, ast.Attribute)
+                    and n.func.attr == "Fraction"):
+                out.append(f"{ast.unparse(n.func)} (line {n.lineno})")
+    return out
+
+
+def test_fraction_calls_outside_detected():
+    src = ("class C:\n    def angle(self):\n        return Fraction(1, 2)\n"
+           "    def mul(self):\n        return fractions.Fraction(0)\n"
+           "    zero = Fraction(0)\n"
+           "def free():\n    return Fraction(3)\n")
+    assert fraction_calls_outside(src, "C", "angle") == [
+        "fractions.Fraction (line 5)", "Fraction (line 6)"]
+    assert fraction_calls_outside(src, "D", "angle") == ["no class D"]
+
+
+def test_character_fractions_only_in_angle():
+    source = (SRC / "automorphic.py").read_text()
+    assert fraction_calls_outside(source, "NormCharacter", "angle") == []
