@@ -27,8 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import sympy
-
+from . import ntheory
 from .splitting import (field_bad_primes, norm_subgroup, place_profile,
                         place_table)
 from .tower import KummerTower
@@ -51,7 +50,7 @@ def unit_group_structure(N: int) -> tuple[tuple[int, int], ...]:
     if N <= 2:
         return ()
     local: list[tuple[int, int, int]] = []   # (prime power, generator, order)
-    for ell, k in sympy.factorint(N).items():
+    for ell, k in ntheory.factorint(N).items():
         pk = ell ** k
         if ell == 2:
             if k == 1:
@@ -62,8 +61,7 @@ def unit_group_structure(N: int) -> tuple[tuple[int, int], ...]:
                 local.append((pk, pk - 1, 2))
                 local.append((pk, 5, 2 ** (k - 2)))
         else:
-            g = sympy.primitive_root(pk)
-            local.append((pk, int(g), pk - pk // ell))
+            local.append((pk, ntheory.primitive_root(pk), pk - pk // ell))
     gens = []
     for pk, g, d in local:
         rest = N // pk
@@ -158,7 +156,7 @@ class NormCharacter:
     # -- structure -----------------------------------------------------------
 
     def conductor(self) -> int:
-        for d in sorted(sympy.divisors(self.modulus)):
+        for d in ntheory.divisors(self.modulus):
             if all(self.exps[a] == 0 for a in _units(self.modulus)
                    if a % d == 1 % d):
                 return d
@@ -240,7 +238,7 @@ class NormCharacter:
 
     @staticmethod
     def from_json(doc: dict, field=1) -> "NormCharacter":
-        return NormCharacter(int(doc["modulus"]), int(doc.get("order", 1)),
+        return NormCharacter(int(doc["modulus"]), int(doc["order"]),
                              {int(a): int(e) for a, e in doc["table"].items()},
                              field)
 
@@ -280,7 +278,7 @@ def character_of_order(N: int, p: int, field=1) -> NormCharacter:
 
 def place_norms(field_desc, q: int) -> tuple[int, ...]:
     """Norms of the places above the rational prime q, with multiplicity."""
-    if q in field_bad_primes(field_desc) or not sympy.isprime(q):
+    if q in field_bad_primes(field_desc) or not ntheory.isprime(q):
         raise ValueError(f"q = {q} is excluded or not prime")
     return tuple(q ** f for f, count in place_profile(field_desc, q)
                  for _ in range(count))
@@ -449,7 +447,7 @@ def satake(pi: IsobaricRep, Nv: int) -> SatakeClass:
     eig = []
     for chi, m in pi.components:
         if math.gcd(chi.modulus, Nv) != 1:
-            q = sympy.primefactors(Nv)[0]
+            q = ntheory.primefactors(Nv)[0]
             raise ValueError(f"place above {q} is ramified for a component")
         eig.extend([(chi.angle(Nv), pi.t)] * m)
     return SatakeClass(Nv, tuple(sorted(eig)))
@@ -462,7 +460,7 @@ def ramified_primes(*reps: IsobaricRep) -> set[int]:
     claim about a pair's places leaves out.
     """
     return {ell for rep in reps for chi, _ in rep.components
-            for ell in sympy.primefactors(chi.modulus)}
+            for ell in ntheory.primefactors(chi.modulus)}
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +555,7 @@ def twist_eliminate(eta: NormCharacter, eta2: NormCharacter,
     eta * delta^j ramified at fresh, so only j = 0 can hold.
     """
     p = delta.order
-    if not sympy.isprime(p):
+    if not ntheory.isprime(p):
         raise ValueError("delta must have prime order")
     if delta.conductor() % fresh:
         raise ValueError("fresh prime must divide the conductor of delta")

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-import sympy
-
+from . import ntheory
 from .finitefield import FFElement, is_pth_power, make_ext_field, sylow_valuation
 
 DEFAULT_WITNESS_BOUND = 10 ** 4
@@ -38,9 +37,7 @@ class InconclusiveError(RuntimeError):
 @lru_cache(maxsize=None)
 def cyclotomic_poly_coeffs(m: int) -> tuple[int, ...]:
     """Coefficients of Phi_m, low degree first."""
-    poly = sympy.cyclotomic_poly(m, sympy.Symbol("x"))
-    cs = sympy.Poly(poly, sympy.Symbol("x")).all_coeffs()
-    return tuple(int(c) for c in reversed(cs))
+    return tuple(ntheory.cyclotomic_coeffs(m))
 
 
 @lru_cache(maxsize=None)
@@ -280,7 +277,7 @@ def unit_orders(m: int) -> tuple[int, ...]:
     """
     if m == 1:
         return (1,)
-    return tuple(int(sympy.n_order(a, m)) if math.gcd(a, m) == 1 else 0
+    return tuple(ntheory.mult_order(a, m) if math.gcd(a, m) == 1 else 0
                  for a in range(m))
 
 
@@ -291,7 +288,7 @@ def cyclo_primes_above(m: int, q: int) -> tuple["CycloPrime", ...]:
     The orbit of zeta^a in F_{q^f}, f = ord(q mod m), is zeta^(a<q>) for the
     coset a<q> in (Z/m)^*; a prime is its orbit's least-key root.
     """
-    if not sympy.isprime(q):
+    if not ntheory.isprime(q):
         raise ValueError(f"q = {q} is not prime")
     if m > 1 and m % q == 0:
         raise ValueError(f"q = {q} ramifies in conductor {m}")
@@ -303,7 +300,7 @@ def cyclo_primes_above(m: int, q: int) -> tuple["CycloPrime", ...]:
     # a non-ell-th power to the (n/ell^k)-th has order exactly ell^k
     one = field.one()
     root = one
-    factors = sympy.factorint(m)
+    factors = ntheory.factorint(m)
     for ell, k in factors.items():
         root = root * field.nonresidue(ell) ** (n_ // ell ** k)
     powers = [one]
@@ -404,7 +401,7 @@ class Datum:
 
     def core_support(self) -> set[int]:
         """Primes where valuations cannot be read off the rational part."""
-        return {ell for v in self._core_ints for ell in sympy.primefactors(abs(v))}
+        return {ell for v in self._core_ints for ell in ntheory.primefactors(abs(v))}
 
     def v_q(self, q: int) -> int:
         """q-adic valuation, defined only away from the core support.
@@ -468,11 +465,11 @@ def bad_primes(m: int, p: int, data) -> set[int]:
     a unit and every step k(d^(1/p)) over Q(zeta_m) is unramified; claims
     about "all but finitely many places" exclude exactly these primes.
     """
-    bad = {p, *sympy.primefactors(m)}
+    bad = {p, *ntheory.primefactors(m)}
     for d in data:
         bad |= d.core_support()
-        bad.update(sympy.primefactors(abs(d.rat.numerator)))
-        bad.update(sympy.primefactors(d.rat.denominator))
+        bad.update(ntheory.primefactors(abs(d.rat.numerator)))
+        bad.update(ntheory.primefactors(d.rat.denominator))
     return bad
 
 
@@ -482,20 +479,24 @@ def _fraction_is_pth_power(r: Fraction, p: int) -> bool:
     if p % 2 == 0 and r < 0:
         return False
     for part in (abs(r.numerator), r.denominator):
-        root = sympy.integer_nthroot(part, p)[0]
-        if root ** p != part:
+        if ntheory.iroot(part, p) ** p != part:
             return False
     return True
 
 
 def exact_pth_power_in_rationals(d: Datum, p: int):
-    """Exact decision for rational data, norm-based partial decision otherwise.
+    """Exact decision over Q, norm-based partial decision otherwise.
 
-    Returns True / False / None (None = exact route inconclusive).
+    Returns True / False / None (None = exact route inconclusive).  A p-th
+    power in Q stays one in Q(zeta_m), but a rational non-power may become
+    one there (-1 = i^2), so "no" is read off Q only when the field is Q.
     """
     val = d.value()
     if val.is_rational():
-        return _fraction_is_pth_power(val.as_fraction(), p)
+        if _fraction_is_pth_power(val.as_fraction(), p):
+            return True
+        if d.cyc.field.degree == 1:
+            return False
     n = val.norm()
     if max(abs(n.numerator), n.denominator) > NORM_FACTOR_BOUND:
         return None
@@ -510,6 +511,7 @@ def exact_root_in_extension(d: Datum, p: int):
     deg = d.cyc.field.degree
     if deg * p > 30:
         return None
+    import sympy   # algebraic factoring only; nothing else in kummerlab needs it
     x = sympy.Symbol("x")
     z = sympy.exp(2 * sympy.pi * sympy.I / m)
     expr = sympy.Integer(0)
@@ -555,7 +557,7 @@ def datum_power_certificate(d: Datum, p: int,
         return PowerCertificate(d, p, None, None, True)
     m = d.m
     skip = bad_primes(m, p, (d,))
-    for q in sympy.primerange(2, bound + 1):
+    for q in ntheory.primerange(2, bound + 1):
         if q in skip:
             continue
         for prime in cyclo_primes_above(m, q):

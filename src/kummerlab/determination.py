@@ -27,8 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy
-
+from . import ntheory
 from .automorphic import (
     IsobaricRep,
     NormCharacter,
@@ -104,7 +103,7 @@ def choose_tower_height(n: int, p: int) -> TowerHeight:
     """
     if n < 1:
         raise ValueError("ambient degree must be >= 1")
-    if not sympy.isprime(p):
+    if not ntheory.isprime(p):
         raise ValueError(f"p = {p} is not prime")
     need = tail_threshold(n)
     r = 1
@@ -123,7 +122,7 @@ def _squarefree_kernel(x) -> int:
         raise ValueError("zero has no square class")
     n = x.numerator * x.denominator
     k = -1 if n < 0 else 1
-    for q, e in sympy.factorint(abs(n)).items():
+    for q, e in ntheory.factorint(abs(n)).items():
         if e % 2:
             k *= q
     return k
@@ -149,7 +148,7 @@ def hilbert_symbol(a, b, place: int) -> int:
     if place == 0:
         return -1 if (a < 0 and b < 0) else 1
     q = place
-    if not sympy.isprime(q):
+    if not ntheory.isprime(q):
         raise ValueError(f"place {q} is neither 0 nor a prime")
     alpha, u = (1, a // q) if a % q == 0 else (0, a)
     beta, w = (1, b // q) if b % q == 0 else (0, b)
@@ -169,8 +168,8 @@ def hilbert_symbol(a, b, place: int) -> int:
 def hilbert_obstructions(a, b) -> tuple[int, ...]:
     """Places where (a, b) = -1; 0 stands for the real place."""
     cand = {0, 2}
-    cand.update(sympy.primefactors(abs(_squarefree_kernel(a))))
-    cand.update(sympy.primefactors(abs(_squarefree_kernel(b))))
+    cand.update(ntheory.primefactors(abs(_squarefree_kernel(a))))
+    cand.update(ntheory.primefactors(abs(_squarefree_kernel(b))))
     out = tuple(v for v in sorted(cand) if hilbert_symbol(a, b, v) == -1)
     if len(out) % 2:
         raise AssertionError("product formula violated")
@@ -424,7 +423,7 @@ def _inert_rational_primes(plan: TowerPlan, X: int) -> list[int]:
         return []
     p = plan.p       # odd root-step: k = Q(zeta_p), K = k(mu_{p^2})
     big, small = unit_orders(p * p), unit_orders(p)
-    return [q for q in sympy.primerange(2, X + 1)
+    return [q for q in ntheory.primerange(2, X + 1)
             if q != p and big[q % (p * p)] == p * small[q % p]]
 
 
@@ -559,7 +558,7 @@ def check_agreement(pi: IsobaricRep, pi2: IsobaricRep, X: int,
     ram = ramified_primes(pi, pi2)
     exceptions = tuple((q, "field" if q in bad else "ramified")
                        for q in sorted(bad | ram)
-                       if q <= X and sympy.isprime(q))
+                       if q <= X and ntheory.isprime(q))
     rows = tuple(AgreementRow(q, q ** f, f,
                               satake(pi, q ** f) == satake(pi2, q ** f))
                  for q, f, _ in place_table(field, X)
@@ -764,7 +763,7 @@ def descend_chain(pi: IsobaricRep, pi2: IsobaricRep,
     used = {plan.p}
     for rep in (pi, pi2):
         for chi, _ in rep.components:
-            used.update(sympy.primefactors(chi.conductor()))
+            used.update(ntheory.primefactors(chi.conductor()))
     if plan.lattice is not None:
         used |= plan.lattice.bad_primes()
     for ch in plan.chains:

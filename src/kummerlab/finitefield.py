@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-import sympy
+from . import ntheory
 
 
 def _poly_trim(a):
@@ -109,7 +109,7 @@ def _is_irreducible(f, q):
 @lru_cache(maxsize=None)
 def make_ext_field(q: int, d: int) -> "ExtField":
     """The canonical F_{q^d}.  Cached; (q, d) -> identical object."""
-    if not sympy.isprime(q):
+    if not ntheory.isprime(q):
         raise ValueError(f"q = {q} is not prime")
     if d < 1:
         raise ValueError(f"d = {d} must be >= 1")

@@ -20,8 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy
-
+from . import ntheory
 from .cyclotomic import (
     CycloPrime,
     Datum,
@@ -329,7 +328,7 @@ def _int_phi_roots(m: int, q: int) -> list[int]:
         return [1]
     for y in range(2, q):
         z = pow(y, (q - 1) // m, q)
-        if all(pow(z, m // ell, q) != 1 for ell in sympy.primefactors(m)):
+        if all(pow(z, m // ell, q) != 1 for ell in ntheory.primefactors(m)):
             return sorted(pow(z, a, q) for a in range(1, m)
                           if math.gcd(a, m) == 1)
     raise AssertionError("no element of full order found")
@@ -369,7 +368,7 @@ def degree1_density(step: KummerTower, X: int) -> DensityReport:
     skip = bad_primes(m, p, (step.datum,))
     orders = unit_orders(m)
     deg1 = total = 0
-    for q in sympy.primerange(2, X + 1):
+    for q in ntheory.primerange(2, X + 1):
         if q in skip:
             continue
         f = orders[q % m]
@@ -453,7 +452,7 @@ def field_bad_primes(field_desc) -> set[int]:
     if field_desc == 1:
         return set()
     if isinstance(field_desc, int):
-        return set(sympy.primefactors(field_desc))
+        return set(ntheory.primefactors(field_desc))
     t: KummerTower = field_desc
     return bad_primes(t.m, t.p, (t.datum, *t.pre_steps))
 
@@ -544,7 +543,7 @@ def place_table(field_desc, X: int) -> tuple[tuple[int, int, int], ...]:
     """
     bad = field_bad_primes(field_desc)
     profile = _profiler(field_desc)
-    return tuple((q, f, c) for q in sympy.primerange(2, X + 1)
+    return tuple((q, f, c) for q in ntheory.primerange(2, X + 1)
                  if q not in bad for f, c in profile(q))
 
 

@@ -20,8 +20,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import sympy
-
+from . import ntheory
 from .cyclotomic import (
     DEFAULT_WITNESS_BOUND,
     CycloPrime,
@@ -50,7 +49,7 @@ class KummerTower:
     pre_steps: tuple[Datum, ...] = ()
 
     def __post_init__(self):
-        if not sympy.isprime(self.p):
+        if not ntheory.isprime(self.p):
             raise ValueError(f"p = {self.p} is not prime")
         if self.r < 0:
             raise ValueError("height must be >= 0")
@@ -210,7 +209,7 @@ def modify_datum(datum: Datum, multipliers) -> Datum:
     """Scale the datum by prod(l^e) for (l, e) pairs, keeping the core."""
     out = datum
     for ell, e in multipliers:
-        if not sympy.isprime(ell):
+        if not ntheory.isprime(ell):
             raise ValueError(f"multiplier base {ell} is not prime")
         if e < 1:
             raise ValueError("multiplier exponents must be >= 1")
@@ -232,7 +231,7 @@ def fresh_prime_plan(used: set[int], p: int, r: int,
         ell = None
         q = 1
         while ell is None:
-            q = sympy.nextprime(q)
+            q = ntheory.nextprime(q)
             if q in taken:
                 continue
             if split_modulus is not None and q % split_modulus != 1:
@@ -261,7 +260,7 @@ class RamificationProfile:
 
 
 def ramification_profile(tower: KummerTower, q: int) -> RamificationProfile:
-    if not sympy.isprime(q):
+    if not ntheory.isprime(q):
         raise ValueError(f"q = {q} is not prime")
     t = tower.datum.v_q(q)  # raises on core-support primes
     entries = tuple(

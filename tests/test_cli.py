@@ -444,17 +444,32 @@ def test_malformed_pair_exits_64(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key,value", [("order", 0), ("order", -4),
-                                       ("t", "1/0")])
+                                       ("t", "1/0"), ("order", None)])
 def test_malformed_character_exits_64(tmp_path, capsys, key, value):
     # one side of an equal pair edited: a zero order, a negative order (once
-    # read as the conjugate) and a zero-denominator shift
+    # read as the conjugate), a zero-denominator shift and a dropped order
+    # (once read as 1, which made the character trivial)
     side = _rep([character_of_order(5, 4).retag(QI)], QI).to_json()
     bad = json.loads(json.dumps(side))
-    (bad if key == "t" else bad["components"][0])[key] = value
+    target = bad if key == "t" else bad["components"][0]
+    if value is None:
+        del target[key]
+    else:
+        target[key] = value
     path = tmp_path / "pair.json"
     path.write_text(json.dumps({"pi": side, "pi2": bad}))
     code, out = run(["theorem-a", "--K", "Q(i)", "--pair", str(path)], capsys)
     assert (code, out) == (64, "")
+
+
+@pytest.mark.parametrize("m,alpha", [(4, "-1"), (3, "-3"), (8, "2")])
+def test_tower_verify_rational_square_in_field_exits_64(capsys, m, alpha):
+    # -1 = zeta_4^2, -3 = (1 + 2 zeta_3)^2 and 2 = (zeta_8 + zeta_8^-1)^2:
+    # squares in Q(zeta_m) that are not squares in Q
+    code = main(["tower", "verify", "--m", str(m), "--p", "2", "--r", "1",
+                 f"--alpha={alpha}"])
+    assert code == 64
+    assert "is a 2-th power" in capsys.readouterr().err
 
 
 def test_tower_verify_inconclusive_exits_3(capsys):

@@ -247,6 +247,8 @@ def test_power_certificate_detects_exact_powers():
     assert datum_power_certificate(Datum.of(8), 3).is_pth_power
     assert datum_power_certificate(Datum.of(-8), 3).is_pth_power  # (-2)^3
     assert not datum_power_certificate(Datum.of(-4), 3).is_pth_power
+    # a rational non-square over Q can be a square in Q(zeta_m): -1 = zeta_4^2
+    assert datum_power_certificate(Datum.of(-1, 4), 2).is_pth_power
     with pytest.raises(ValueError):
         require_not_pth_power(Datum.of(Fraction(4, 9)), 2)
 

@@ -1,10 +1,14 @@
 """Every name a kummerlab module imports is referenced in that module,
 every module-level private function is referenced somewhere in the package,
 no module runs text as code, multiplicative orders mod m come from one
-table, and a character makes a Fraction only when its value is read."""
+table, a character makes a Fraction only when its value is read, and sympy
+is loaded only by the algebraic factoring fallback."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -179,11 +183,11 @@ def test_inconclusive_only_under_a_bound(module):
     assert unbounded_inconclusive_raises((SRC / module).read_text()) == []
 
 
-ORDER_NAMES = ("n_order", "totient")
+ORDER_NAMES = ("n_order", "mult_order", "totient")
 
 
 def order_names_outside(source: str, allowed: str | None) -> list[str]:
-    """`n_order` or `totient` named outside the function called `allowed`.
+    """An order routine named outside the function called `allowed`.
 
     Residue degrees in Q(zeta_m) are read from `cyclotomic.unit_orders`, the
     one place that computes multiplicative orders.
@@ -210,9 +214,10 @@ def test_order_names_outside_detected():
     src = ("import sympy\nfrom sympy import totient\n"
            "def unit_orders(m):\n    return sympy.n_order(2, m)\n"
            "def degree(q, m):\n    return sympy.n_order(q, m)\n"
-           "phi = totient(12)\n")
+           "phi = totient(12)\nf = ntheory.mult_order(3, 7)\n")
     assert order_names_outside(src, "unit_orders") == [
-        "totient (import)", "n_order (line 6)", "totient (line 7)"]
+        "totient (import)", "n_order (line 6)", "totient (line 7)",
+        "mult_order (line 8)"]
     assert order_names_outside(src, None)[1] == "n_order (line 4)"
 
 
@@ -258,3 +263,63 @@ def test_fraction_calls_outside_detected():
 def test_character_fractions_only_in_angle():
     source = (SRC / "automorphic.py").read_text()
     assert fraction_calls_outside(source, "NormCharacter", "angle") == []
+
+
+def sympy_imports_outside(source: str, allowed: str) -> list[str]:
+    """`import sympy` (or from it) outside the function called `allowed`."""
+    out = []
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside or node.name == allowed
+        names = [a.name for a in node.names] if isinstance(node, ast.Import) \
+            else [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+        if not inside and any(n.split(".")[0] == "sympy" for n in names):
+            out.append(f"line {node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(source), False)
+    return out
+
+
+def test_sympy_imports_outside_detected():
+    src = ("import sympy\nfrom sympy.ntheory import isprime\n"
+           "def exact_root_in_extension(d, p):\n    import sympy\n"
+           "def other():\n    import sympy.polys as sp\n"
+           "import sympyish\n")
+    assert sympy_imports_outside(src, "exact_root_in_extension") == [
+        "line 1", "line 2", "line 6"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_sympy_only_in_algebraic_factoring(module):
+    assert sympy_imports_outside((SRC / module).read_text(),
+                                 "exact_root_in_extension") == []
+
+
+NO_SYMPY_RUN = """
+import json, sys
+from fractions import Fraction
+import kummerlab.cli
+print(sorted(m for m in sys.modules if m.split(".")[0] == "sympy"))
+from kummerlab.automorphic import NormCharacter, character_of_order, make_isobaric
+rep = make_isobaric([(NormCharacter.trivial(4), 1),
+                     (character_of_order(5, 4).retag(4), 1)], Fraction(0), 4)
+with open(sys.argv[1], "w") as fh:
+    json.dump({"pi": rep.to_json(), "pi2": rep.to_json()}, fh)
+code = kummerlab.cli.main(["theorem-a", "--K", "Q(i)", "--pair", sys.argv[1],
+                           "--X", "2000", "--out", sys.argv[2]])
+print(code, sorted(m for m in sys.modules if m.split(".")[0] == "sympy"))
+"""
+
+
+def test_cli_runs_without_sympy(tmp_path):
+    # the golden single-chain equal pair over Q(i), decided in-process
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SYMPY_RUN, str(tmp_path / "pair.json"),
+         str(tmp_path / "report.json")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["[]", "0 []"]
