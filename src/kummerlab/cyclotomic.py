@@ -22,22 +22,42 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import combinations
 
 from . import ntheory
 from .finitefield import FFElement, is_pth_power, make_ext_field, sylow_valuation
+from .ntheory import InconclusiveError
 
 DEFAULT_WITNESS_BOUND = 10 ** 4
 NORM_FACTOR_BOUND = 10 ** 12
 
 
-class InconclusiveError(RuntimeError):
-    """A certificate search exhausted its bound without a verdict."""
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_poly_coeffs(m: int) -> tuple[int, ...]:
-    """Coefficients of Phi_m, low degree first."""
-    return tuple(ntheory.cyclotomic_coeffs(m))
+    """Coefficients of Phi_m, low degree first.
+
+    Phi_m is the product of (x^d - 1)^mu(m/d) over d | m: multiply by the
+    binomials with mu = 1, then divide exactly by those with mu = -1.
+    """
+    if m < 1:
+        raise ValueError("conductor must be >= 1")
+    ells = list(ntheory.factorint(m))
+    ups, downs = [], []
+    for j in range(len(ells) + 1):
+        for sub in combinations(ells, j):
+            (downs if j % 2 else ups).append(m // math.prod(sub))
+    poly = [1]
+    for d in ups:        # times x^d - 1
+        prod = [0] * d + poly
+        for i, c in enumerate(poly):
+            prod[i] -= c
+        poly = prod
+    for d in downs:      # P = Q (x^d - 1) gives Q[i] = Q[i - d] - P[i]
+        quo = [0] * (len(poly) - d)
+        for i in range(len(quo)):
+            quo[i] = (quo[i - d] if i >= d else 0) - poly[i]
+        poly = quo
+    return tuple(poly)
 
 
 @lru_cache(maxsize=None)

@@ -5,25 +5,35 @@ sieve, `isprime` runs Miller-Rabin on the first 13 prime bases, which
 decides every n < 3.3 * 10^24 (Sorenson & Webster, Math. Comp. 86, 2017);
 a larger n gets the strong Baillie-PSW test (Baillie & Wagstaff, Math.
 Comp. 35, 1980), which has no known pseudoprime and is the test sympy
-runs there.  `factorint` divides out the small primes
-and splits what is left with Brent's variant of Pollard rho (Brent 1980).
-Orders come from the factored Carmichael function (Cohen, A Course in
-Computational Algebraic Number Theory, 1.4), and Phi_m from exact division
-by binomials.
+runs there.  `factorint` divides out the small primes and splits what
+is left as a perfect power, by Brent's variant of Pollard rho (Brent 1980),
+by Pollard p - 1, or by ECM with bounded effort; past that bound it raises
+InconclusiveError instead of searching on.  Orders come from the factored
+Carmichael function (Cohen, A Course in Computational Algebraic Number
+Theory, 1.4).
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
-from itertools import combinations, compress, count
+from bisect import bisect_left
+from itertools import compress, count
 
 MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_LIMIT = 3317044064679887385961981   # least strong pseudoprime to MR_BASES
 TRIAL_BOUND = 1000                      # factorint divides by primes below it
+RHO_STEPS = 1 << 14                     # then rho, to factors near 10^8
+PM1_BOUND = 10 ** 5                     # then p - 1 to this stage-1 bound
+# then ECM: (B1, curves) for factors of 15 and 20 digits (GMP-ECM's table);
+# a 60-digit n that outlasts both gives up after about 20 s on a 2-core Xeon
+ECM_ROUNDS = ((2000, 25), (11000, 90))
 
 _sieve = bytearray()     # _sieve[n] == 1 exactly when n is prime
 _primes: list[int] = []  # the primes below len(_sieve), ascending
+
+
+class InconclusiveError(RuntimeError):
+    """A search exhausted its bound without a verdict."""
 
 
 def _grow(n: int) -> None:
@@ -36,13 +46,6 @@ def _grow(n: int) -> None:
         if s[i]:
             s[i * i::i] = bytes(len(range(i * i, size, i)))
     _sieve, _primes = s, list(compress(range(size), s))
-
-
-def primes_upto(X: int) -> list[int]:
-    """The primes <= X, ascending."""
-    if X >= len(_sieve):
-        _grow(X)
-    return _primes[:bisect_right(_primes, X)]
 
 
 def primerange(a: int, b: int) -> list[int]:
@@ -139,11 +142,15 @@ def nextprime(n: int) -> int:
     return q
 
 
-def _rho(n: int) -> int:
-    """A proper factor of the odd composite n (Brent's cycle search)."""
+def _rho(n: int, steps: int) -> int | None:
+    """A proper factor of the odd composite n, or None if Brent's cycle
+    search on x^2 + c, c = 1, 2, ..., finds none in about 2 * `steps` steps."""
     for c in count(1):
         y, r, prod, g = 2, 1, 1, 1
         while g == 1:
+            if r > steps:
+                return None
+            steps -= r
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -165,12 +172,134 @@ def _rho(n: int) -> int:
             return g
 
 
+def _lcm_upto(B: int) -> int:
+    """lcm(1, ..., B): the exponent that kills every B-power-smooth order."""
+    out = 1
+    for ell in primerange(2, B + 1):
+        q = ell
+        while q * ell <= B:
+            q *= ell
+        out *= q
+    return out
+
+
+def _pm1(n: int, B: int) -> int | None:
+    """Pollard p - 1, stage 1: a factor q of n with q - 1 B-power-smooth.
+
+    Base 3, since 2 has a small order mod every Mersenne prime."""
+    g = math.gcd(pow(3, _lcm_upto(B), n) - 1, n)
+    return g if 1 < g < n else None
+
+
+def _xdbl(P, a24, n):
+    """2P on a Montgomery curve, x-only: (X : Z) with a24 = (A + 2)/4."""
+    X, Z = P
+    s, d = (X + Z) ** 2 % n, (X - Z) ** 2 % n
+    t = s - d
+    return s * d % n, t * (d + a24 * t) % n
+
+
+def _xadd(P, Q, diff, n):
+    """P + Q on a Montgomery curve, x-only, from diff = P - Q."""
+    u = (P[0] - P[1]) * (Q[0] + Q[1])
+    v = (P[0] + P[1]) * (Q[0] - Q[1])
+    return diff[1] * (u + v) ** 2 % n, diff[0] * (u - v) ** 2 % n
+
+
+def _ladder(k: int, P, a24, n):
+    """kP for k >= 1 by the Montgomery ladder."""
+    R0, R1 = P, _xdbl(P, a24, n)
+    for bit in bin(k)[3:]:
+        if bit == "1":
+            R0, R1 = _xadd(R1, R0, P, n), _xdbl(R1, a24, n)
+        else:
+            R0, R1 = _xdbl(R0, a24, n), _xadd(R1, R0, P, n)
+    return R0
+
+
+def _ecm(n: int, bound: int) -> int | None:
+    """A proper factor of n by Lenstra's elliptic curve method, or None.
+
+    Suyama's curves, sigma = 6, 7, ..., in Montgomery's x-only form.  Stage 1
+    multiplies by lcm(1..B1); stage 2 catches one more prime q <= B2 = 100 B1
+    from x(rQ) = x(dQ) whenever q = r -+ d, r a multiple of 2D and d < D odd
+    (Montgomery, Math. Comp. 48, 1987).  The rounds of ECM_ROUNDS run while
+    B1 <= bound.
+    """
+    sigma = 5
+    for B1, curves in ECM_ROUNDS:
+        if B1 > bound:
+            break
+        k, B2 = _lcm_upto(B1), 100 * B1
+        D = math.isqrt(B2) & ~1   # so the giant steps r start at 4D or more
+        odd = range(1, D, 2)
+        if B2 + D >= len(_sieve):
+            _grow(B2 + D)
+        rs = range(B1 // (2 * D) * (2 * D), B2 + D, 2 * D)
+        # per giant step r, the indices of the d with r - d or r + d prime
+        plan = [[i for i, d in enumerate(odd)
+                 if B1 < r - d and _sieve[r - d] or r + d <= B2 and _sieve[r + d]]
+                for r in rs]
+        for _ in range(curves):
+            sigma += 1
+            u, v = (sigma * sigma - 5) % n, 4 * sigma % n
+            den = 16 * pow(u, 3, n) * v % n
+            g = math.gcd(den, n)
+            if g > 1:
+                if g < n:
+                    return g
+                continue
+            a24 = pow(v - u, 3, n) * (3 * u + v) * pow(den, -1, n) % n
+            Q = _ladder(k, (pow(u, 3, n), pow(v, 3, n)), a24, n)
+            g = math.gcd(Q[1], n)
+            if g > 1:
+                if g < n:
+                    return g
+                continue
+            Q2 = _xdbl(Q, a24, n)
+            S = [Q, _xadd(Q2, Q, Q, n)]          # S[i] = (2i + 1)Q
+            while len(S) < len(odd):
+                S.append(_xadd(S[-1], Q2, S[-2], n))
+            xz = [X * Z % n for X, Z in S]
+            W = _ladder(2 * D, Q, a24, n)
+            R, T = _ladder(rs[0], Q, a24, n), _ladder(rs[0] - 2 * D, Q, a24, n)
+            acc = 1
+            for ds in plan:
+                XR, ZR = R
+                xzR = XR * ZR
+                for i in ds:   # XR ZS - XS ZR, in one product
+                    X, Z = S[i]
+                    acc = acc * ((XR - X) * (ZR + Z) - xzR + xz[i]) % n
+                R, T = _xadd(R, W, T, n), R
+            g = math.gcd(acc, n)
+            if 1 < g < n:
+                return g
+    return None
+
+
+def _split(n: int, bound: int) -> int:
+    """A proper factor of the composite n, which has no prime factor below
+    TRIAL_BOUND: a perfect-power root, then rho, p - 1 and ECM to B1 = bound."""
+    for k in primerange(2, n.bit_length() // 9 + 1):   # n >= 1000^k
+        r = iroot(n, k)
+        if r ** k == n:
+            return r
+    d = _rho(n, RHO_STEPS) or _pm1(n, PM1_BOUND) or _ecm(n, bound)
+    if d is None:
+        raise InconclusiveError(f"no factor of {n} found with ECM up to B1 = {bound}")
+    return d
+
+
 def factorint(n: int) -> dict[int, int]:
-    """{prime: exponent} for n >= 1, primes ascending."""
+    """{prime: exponent} for n >= 1, primes ascending.
+
+    Raises InconclusiveError for a composite part that every ECM round
+    leaves whole.
+    """
     if n < 1:
         raise ValueError(f"cannot factor {n}")
     out: dict[int, int] = {}
-    for ell in primes_upto(TRIAL_BOUND):
+    for ell in primerange(2, TRIAL_BOUND):
         if ell * ell > n:
             break
         while n % ell == 0:
@@ -181,9 +310,9 @@ def factorint(n: int) -> dict[int, int]:
         x = stack.pop()
         if x < TRIAL_BOUND ** 2 or isprime(x):
             out[x] = out.get(x, 0) + 1
-        else:
-            d = _rho(x)
-            stack += [d, x // d]
+            continue
+        d = _split(x, ECM_ROUNDS[-1][0])
+        stack += [d, x // d]
     return dict(sorted(out.items()))
 
 
@@ -239,30 +368,3 @@ def primitive_root(n: int) -> int:
     cofactors = [phi // r for r in primefactors(phi)]
     return next(g for g in range(2, n) if g % ell
                 and all(pow(g, c, n) != 1 for c in cofactors))
-
-
-def cyclotomic_coeffs(m: int) -> list[int]:
-    """Coefficients of Phi_m, low degree first.
-
-    Phi_m is the product of (x^d - 1)^mu(m/d) over d | m: multiply by the
-    binomials with mu = 1, then divide exactly by those with mu = -1.
-    """
-    if m < 1:
-        raise ValueError("conductor must be >= 1")
-    ells = list(factorint(m))
-    ups, downs = [], []
-    for j in range(len(ells) + 1):
-        for sub in combinations(ells, j):
-            (downs if j % 2 else ups).append(m // math.prod(sub))
-    poly = [1]
-    for d in ups:        # times x^d - 1
-        prod = [0] * d + poly
-        for i, c in enumerate(poly):
-            prod[i] -= c
-        poly = prod
-    for d in downs:      # P = Q (x^d - 1) gives Q[i] = Q[i - d] - P[i]
-        quo = [0] * (len(poly) - d)
-        for i in range(len(quo)):
-            quo[i] = (quo[i - d] if i >= d else 0) - poly[i]
-        poly = quo
-    return poly

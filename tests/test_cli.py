@@ -472,6 +472,14 @@ def test_tower_verify_rational_square_in_field_exits_64(capsys, m, alpha):
     assert "is a 2-th power" in capsys.readouterr().err
 
 
+def test_tower_verify_datum_with_two_large_prime_factors(capsys):
+    # the bad primes need (2^61 - 1)(2^89 - 1) factored, which rho alone
+    # would take about 10^9 steps to do
+    code, out = run(["tower", "verify", "--m", "4", "--p", "2", "--r", "1",
+                     "--alpha", "(2^61-1)*(2^89-1)"], capsys)
+    assert code == 0 and json.loads(out)["witness_q"] == 13
+
+
 def test_tower_verify_inconclusive_exits_3(capsys):
     code, _ = run(["tower", "verify", "--m", "4", "--p", "2", "--r", "2",
                    "--alpha", "1+z", "--bound", "2"], capsys)

@@ -2,13 +2,14 @@
 
 import math
 import random
+import time
 
 import pytest
 import sympy
 
 from kummerlab import ntheory
 from kummerlab.automorphic import unit_group_structure
-from kummerlab.cyclotomic import cyclotomic_poly_coeffs
+from kummerlab.cyclotomic import InconclusiveError, cyclotomic_poly_coeffs
 
 # the least strong pseudoprimes to the first 4, 5, 6, 7 and 9 prime bases
 STRONG_PSEUDOPRIMES = (3215031751, 2152302898747, 3474749660383,
@@ -69,6 +70,39 @@ def test_factorint_up_to_1e12():
         got = ntheory.factorint(n)
         assert got == sympy.factorint(n) and list(got) == sorted(got), n
         assert ntheory.primefactors(n) == sympy.primefactors(n), n
+    # past rho's reach: a Mersenne pair that p - 1 splits, a cube and
+    # semiprimes of two primes near 10^15 that only ECM splits.  sympy takes
+    # 15 s on the first, so each answer is checked as a product of primes
+    rng = random.Random(3)
+    big = [(2 ** 61 - 1) * (2 ** 89 - 1), sympy.nextprime(10 ** 15 + 12345) ** 3,
+           sympy.nextprime(10 ** 15) * sympy.nextprime(3 * 10 ** 15)]
+    big += [sympy.nextprime(rng.randrange(10 ** 15, 10 ** 16)) *
+            sympy.nextprime(rng.randrange(10 ** 15, 10 ** 16)) for _ in range(2)]
+    for n in big:
+        start = time.perf_counter()
+        got = ntheory.factorint(n)
+        assert time.perf_counter() - start < 30, n
+        assert math.prod(q ** e for q, e in got.items()) == n, n
+        assert all(sympy.isprime(q) for q in got) and list(got) == sorted(got), n
+
+
+def test_factorint_split_steps():
+    mersennes = (2 ** 61 - 1) * (2 ** 89 - 1)
+    assert ntheory._rho(mersennes, ntheory.RHO_STEPS) is None
+    assert ntheory._pm1(mersennes, ntheory.PM1_BOUND) == 2 ** 61 - 1
+    n = sympy.nextprime(10 ** 15) * sympy.nextprime(3 * 10 ** 15)
+    assert ntheory._pm1(n, ntheory.PM1_BOUND) is None
+    assert ntheory._ecm(n, 11000) in (sympy.nextprime(10 ** 15),
+                                      sympy.nextprime(3 * 10 ** 15))
+
+
+def test_split_gives_up_past_its_bound():
+    # two 30-digit primes are out of reach at B1 = 2000: an error, not a hang
+    n = sympy.nextprime(10 ** 29) * sympy.nextprime(3 * 10 ** 29)
+    start = time.perf_counter()
+    with pytest.raises(InconclusiveError):
+        ntheory._split(n, 2000)
+    assert time.perf_counter() - start < 30
 
 
 def test_factorint_rejects_nonpositive():
@@ -119,7 +153,6 @@ def test_primerange_and_divisors():
     for a, b in ((0, 2), (2, 3), (5, 100), (100, 5000), (7919, 7920),
                  (10 ** 5, 10 ** 5 + 1000), (3, 2)):
         assert ntheory.primerange(a, b) == list(sympy.primerange(a, b)), (a, b)
-    assert ntheory.primes_upto(30) == list(sympy.primerange(2, 31))
     for n in range(1, 3000):
         assert ntheory.divisors(n) == sympy.divisors(n), n
         assert ntheory.nextprime(n) == sympy.nextprime(n), n
