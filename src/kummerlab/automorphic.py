@@ -453,6 +453,27 @@ def satake(pi: IsobaricRep, Nv: int) -> SatakeClass:
     return SatakeClass(Nv, tuple(sorted(eig)))
 
 
+def satake_agreement(pi: IsobaricRep, pi2: IsobaricRep):
+    """agree(Nv): whether pi and pi2 have one Satake class at norm Nv.
+
+    A component's angle at Nv reads only Nv mod its modulus, so the answer
+    depends only on Nv mod N, the lcm of every component modulus on both
+    sides: `satake` is compared once per residue class, and the answers are
+    kept for the life of the returned function.
+    """
+    N = math.lcm(*(chi.modulus for rep in (pi, pi2)
+                   for chi, _ in rep.components))
+    seen = {}
+
+    def agree(Nv: int) -> bool:
+        r = Nv % N
+        if r not in seen:
+            seen[r] = satake(pi, Nv) == satake(pi2, Nv)
+        return seen[r]
+
+    return agree
+
+
 def ramified_primes(*reps: IsobaricRep) -> set[int]:
     """Rational primes dividing the modulus of some component of the reps.
 

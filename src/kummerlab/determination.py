@@ -39,7 +39,7 @@ from .automorphic import (
     make_isobaric,
     pair_components,
     ramified_primes,
-    satake,
+    satake_agreement,
     twist_eliminate,
 )
 from .cyclotomic import (
@@ -559,8 +559,8 @@ def check_agreement(pi: IsobaricRep, pi2: IsobaricRep, X: int,
     exceptions = tuple((q, "field" if q in bad else "ramified")
                        for q in sorted(bad | ram)
                        if q <= X and ntheory.isprime(q))
-    rows = tuple(AgreementRow(q, q ** f, f,
-                              satake(pi, q ** f) == satake(pi2, q ** f))
+    agree = satake_agreement(pi, pi2)
+    rows = tuple(AgreementRow(q, q ** f, f, agree(q ** f))
                  for q, f, _ in place_table(field, X)
                  if f in degrees and q ** f <= X
                  and q not in bad and q not in ram)
@@ -769,7 +769,8 @@ def descend_chain(pi: IsobaricRep, pi2: IsobaricRep,
     for ch in plan.chains:
         if ch.tower is not None:
             used |= field_bad_primes(ch.tower)
-    fresh = fresh_prime_plan(used, plan.p, r)
+    # delta needs order p mod ell, so ell = 1 mod p (2 is always used at p = 2)
+    fresh = fresh_prime_plan(used, plan.p, r, split_modulus=plan.p)
     modified = None
     if top is not None:
         modified = repr(modify_datum(top.datum, fresh))
@@ -833,6 +834,7 @@ def final_descent(plan: TowerPlan, pi: IsobaricRep, pi2: IsobaricRep,
         return FinalDescentReport(plan.kind, verdict, witness, (),
                                   "K holds mu_{p^2}: nothing to transport")
     ram = ramified_primes(pi, pi2)
+    agrees = satake_agreement(pi, pi2)
     rows = []
     sigma_witness = None
     for q in _inert_rational_primes(plan, X):
@@ -840,7 +842,7 @@ def final_descent(plan: TowerPlan, pi: IsobaricRep, pi2: IsobaricRep,
             continue
         cert = inert_splits_in_top(plan.lattice, q)
         Nv = q ** plan.p
-        agree = satake(pi, Nv) == satake(pi2, Nv)
+        agree = agrees(Nv)
         rows.append(TransportRow(q, Nv, cert.primes_in_top,
                                  cert.relative_degree, agree))
         if not agree and sigma_witness is None:

@@ -224,24 +224,32 @@ class FFElement:
         q = self.field.q
         return FFElement(self.field, tuple((-a) % q for a in self.coeffs))
 
+    # Products and powers come back reduced (mod q and mod the modulus), so
+    # they are only padded.  Over F_q (d = 1) the modulus is t, and no
+    # constant reduces by it: ints mod q and the builtin pow give the tuple.
+
     def __mul__(self, other):
         other = self._coerce(other)
         f = self.field
+        if f.d == 1:
+            return FFElement(f, (self.coeffs[0] * other.coeffs[0] % f.q,))
         prod = _poly_mulmod(list(self.coeffs), list(other.coeffs),
                             list(f.modulus), f.q)
-        return f.element(tuple(prod))
+        return FFElement(f, tuple(prod) + (0,) * (f.d - len(prod)))
 
     def __pow__(self, e):
         f = self.field
         if e < 0:
             return self.inverse() ** (-e)
+        if f.d == 1:
+            return FFElement(f, (pow(self.coeffs[0], e, f.q),))
         if self.is_zero():
             return f.one() if e == 0 else f.zero()
         e %= f.size - 1
         if e == 0:
             return f.one()
         out = _poly_powmod(list(self.coeffs), e, list(f.modulus), f.q)
-        return f.element(tuple(out))
+        return FFElement(f, tuple(out) + (0,) * (f.d - len(out)))
 
     def inverse(self):
         if self.is_zero():

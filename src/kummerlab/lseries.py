@@ -228,14 +228,11 @@ def pole_book(pi: IsobaricRep, pi2: IsobaricRep) -> PoleBook:
 # evaluation near s = 1
 
 def log_partial_Z(pi: IsobaricRep, pi2: IsobaricRep, selector: PrimeSelector,
-                  s: float, M: int | None = None,
-                  series: CoefficientSeries | None = None) -> float:
+                  s: float, M: int | None = None) -> float:
     """sum c_m(Z) m^{-s} over the selected places, compensated summation."""
     if s <= 1:
         raise ValueError("s must be > 1")
-    if series is None:
-        series = rs_coeffs(pi, pi2, selector, M or selector.cutoff, "Z")
-    fl = series.floats()
+    fl = rs_coeffs(pi, pi2, selector, M or selector.cutoff, "Z").floats()
     return math.fsum(c * m ** (-s) for m, c in fl.items())
 
 
@@ -278,28 +275,6 @@ def tail_threshold(n: int) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
     return (n * n + 1) // 2 + 1
-
-
-@dataclass(frozen=True)
-class TailReport:
-    rows: tuple                   # (s, log Z_S, ratio to log(1/(s-1)))
-    max_ratio: float
-
-
-def tail_convergence_report(pi: IsobaricRep, pi2: IsobaricRep, n: int,
-                            selector: PrimeSelector, grid) -> TailReport:
-    """log Z over high-degree places only, against the pole-scale yardstick."""
-    d0 = tail_threshold(n)
-    if selector.degrees is None or min(selector.degrees) < d0:
-        raise ValueError(f"selector must be restricted to degrees >= {d0}")
-    series = rs_coeffs(pi, pi2, selector, selector.cutoff, "Z")
-    rows = []
-    for s in grid:
-        if s <= 1:
-            raise ValueError("grid values must be > 1")
-        val = log_partial_Z(pi, pi2, selector, s, series=series)
-        rows.append((s, val, val / math.log(1 / (s - 1))))
-    return TailReport(tuple(rows), max((r for _, _, r in rows), default=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from kummerlab.automorphic import (
     pair_components,
     place_norms,
     satake,
+    satake_agreement,
     twist_eliminate,
     twist_equivalent,
     unit_group_structure,
@@ -258,6 +260,52 @@ def test_satake_frozen():
         ((0, 0), (0, 0))
     with pytest.raises(ValueError, match="ramified"):
         satake(pi, 2)
+
+
+def test_satake_agreement_matches_satake():
+    # criterion 10's pool and draw over Q(i) and Q(sqrt 3); second sides are
+    # shuffled copies, twists and independent draws, so moduli differ too
+    def pool_over(K):
+        return (NormCharacter.trivial(K), character_of_order(5, 4).retag(K),
+                character_of_order(5, 2).retag(K), CHI8.retag(K),
+                character_of_order(13, 4).retag(K),
+                character_of_order(3, 2).retag(K))
+
+    def draw(rng, pool):
+        comps, remaining = [], rng.randint(2, 3)
+        while remaining:
+            mult = rng.randint(1, remaining)
+            comps.append((rng.choice(pool), mult))
+            remaining -= mult
+        return comps
+
+    rng = random.Random(17)
+    pairs = []
+    for K in (4, K3):
+        pool = pool_over(K)
+        delta = character_of_order(13, 2).retag(K)
+        for _ in range(4):
+            comps = draw(rng, pool)
+            shuffled = list(comps)
+            rng.shuffle(shuffled)
+            pi = make_isobaric(comps, 0, K)
+            pairs += [(pi, make_isobaric(shuffled, 0, K)),
+                      (pi, make_isobaric([(c * delta, m) for c, m in comps],
+                                         0, K)),
+                      (pi, make_isobaric(draw(rng, pool), 0, K))]
+        pairs.append((pi, make_isobaric(comps, Fraction(1, 2), K)))
+    norms = [q ** f for q in sympy.primerange(2, 2001) for f in (1, 2, 3)
+             if q ** f <= 2000]
+    seen = set()
+    for pi, pi2 in pairs:
+        agree = satake_agreement(pi, pi2)
+        moduli = [chi.modulus for rep in (pi, pi2) for chi, _ in rep.components]
+        for Nv in norms:
+            if all(math.gcd(Nv, N) == 1 for N in moduli):
+                want = satake(pi, Nv) == satake(pi2, Nv)
+                assert agree(Nv) == want, (pi, pi2, Nv)
+                seen.add(want)
+    assert seen == {True, False}
 
 
 def test_satake_conjugate_is_contragredient():

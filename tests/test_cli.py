@@ -1,8 +1,12 @@
 """Command-line surface: literals, reports, formats, exit codes."""
 
 import hashlib
+import importlib.util
+import io
 import json
 import shlex
+from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,7 +24,8 @@ from kummerlab.tower import KummerTower
 
 QI = 4
 K3 = parse_field("Q(sqrt 3)")
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def run(argv, capsys):
@@ -356,6 +361,25 @@ def test_theorem_a_golden_reports(pairs, name, K, extra, code, digest,
                    capsys)
     assert got == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_pipeline_workload_digest_frozen(tmp_path):
+    # the benchmark's seed-0 pipeline items (perfbench/workloads.py, only
+    # read here): one sha256 over every item's stdout bytes and exit code
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    items = workloads.Pipeline(0, 100, Counter(), str(tmp_path)).items
+    digest = hashlib.sha256()
+    for field, path, _, _, _ in items:
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = main(["theorem-a", "--K", field, "--pair", path])
+        digest.update(out.getvalue().encode())
+        digest.update(str(code).encode())
+    assert digest.hexdigest() == \
+        "e0e18cc998dc824058fc99e101cc78e959900a0cf4faab5475a873784ab94704"
 
 
 def test_theorem_a_equal_pair_past_twist_bound(tmp_path, capsys):

@@ -47,6 +47,7 @@ QI = 4                                    # Q(i) as a conductor tag
 K3 = KummerTower(1, 2, 1, Datum.of(3))    # Q(sqrt 3)
 K5 = KummerTower(1, 2, 1, Datum.of(5))    # Q(sqrt 5)
 RS5 = KummerTower(5, 5, 1, Datum(CycloField(5).zeta()))   # Q(zeta_25)/Q(zeta_5)
+RS3 = KummerTower(3, 3, 1, Datum(CycloField(3).zeta()))   # Q(zeta_9)/Q(zeta_3)
 
 
 def _gauss_pair(chi, delta=None):
@@ -601,6 +602,17 @@ def test_descend_forked_avoids_plan_primes():
     assert not set(fresh) & set(cert.used)
     assert {2, 3, 7} <= set(cert.used)
     assert all(j == 0 for s in cert.steps for j in s.exponents)
+    assert cert.check(pi, pi)
+
+
+def test_descend_odd_p_picks_fresh_primes_one_mod_p():
+    # an order-3 character mod ell needs ell = 1 mod 3: 2 and 5 never qualify
+    chi = character_of_order(7, 3).retag(RS3)
+    pi = make_isobaric([(NormCharacter.trivial(RS3), 1), (chi, 1)], field=RS3)
+    cert = descend_chain(pi, pi, build_L(RS3, 3))
+    assert cert.used == (3, 7)
+    assert cert.fresh_primes() == (13, 19)
+    assert all(s.exponents == (0, 0) for s in cert.steps)
     assert cert.check(pi, pi)
 
 

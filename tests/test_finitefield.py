@@ -11,6 +11,8 @@ from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_gcd, gf_pow_mod, gf_sub
 
 from kummerlab.finitefield import (
+    _poly_mulmod,
+    _poly_powmod,
     is_pth_power,
     make_ext_field,
     order_p_valuation,
@@ -265,6 +267,22 @@ def test_find_roots_by_exhaustion():
     for r in roots:
         assert (r * r + F81.one()).is_zero()
     assert roots[0].key() < roots[1].key()
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 13, 31])
+def test_prime_field_arithmetic_matches_poly_reference(q):
+    # over F_q, * and ** run on ints; the list polynomials are the reference
+    field = make_ext_field(q, 1)
+    assert field.modulus == (0, 1)
+    modulus = list(field.modulus)
+    for a in range(q):
+        x = field.element(a)
+        for b in range(q):
+            assert x * field.element(b) == \
+                field.element(tuple(_poly_mulmod([a], [b], modulus, q)))
+        for e in [*range(2 * q + 1), 10 ** 21 + 7]:
+            assert x ** e == \
+                field.element(tuple(_poly_powmod([a], e, modulus, q)))
 
 
 def test_big_exponent_arithmetic():

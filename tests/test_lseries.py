@@ -10,8 +10,8 @@ from kummerlab.cyclotomic import CycloField, Datum
 from kummerlab.lseries import (CoefficientSeries, PoleBook, PrimeSelector,
                                exp1, log_partial_Z, pole_book,
                                positivity_check, root_of_unity, rs_coeffs,
-                               slope_experiment, tail_convergence_report,
-                               tail_threshold, to_complex, value_field)
+                               slope_experiment, tail_threshold,
+                               to_complex, value_field)
 from kummerlab.tower import KummerTower
 
 TRIV = NormCharacter.trivial()
@@ -256,41 +256,6 @@ def test_tail_threshold_frozen():
     assert tail_threshold(3) == 6
     with pytest.raises(ValueError):
         tail_threshold(0)
-
-
-def test_tail_report_quartic_tower():
-    T = quartic_tower()
-    sel = PrimeSelector(T, 3000, degrees=frozenset({2, 4}),
-                        exclude=frozenset({5}))
-    one = make_isobaric([(NormCharacter.trivial(T), 1)], field=T)
-    pi5 = make_isobaric([(character_of_order(5, 4, field=T), 1)], field=T)
-    rep = tail_convergence_report(one, pi5, 1, sel, (1.5, 1.1, 1.01, 1.001))
-    ratios = [r for _, _, r in rep.rows]
-    assert all(a > b for a, b in zip(ratios, ratios[1:]))
-    assert ratios[-1] < 0.2
-    assert rep.max_ratio == ratios[0]
-
-
-def test_tail_report_quadratic_vacuous():
-    sel = PrimeSelector(4, 3000, degrees=frozenset({3, 4}),
-                        exclude=frozenset({5}))
-    one = make_isobaric([(NormCharacter.trivial(4), 1)], field=4)
-    pi5 = make_isobaric([(character_of_order(5, 4, field=4), 1)], field=4)
-    rep = tail_convergence_report(one, pi5, 1, sel, (1.5, 1.1))
-    assert rep.rows == ((1.5, 0.0, 0.0), (1.1, 0.0, 0.0))
-
-
-def test_tail_report_rejects_low_degrees():
-    sel = PrimeSelector(4, 100, degrees=frozenset({1, 2}),
-                        exclude=frozenset({5}))
-    one = make_isobaric([(NormCharacter.trivial(4), 1)], field=4)
-    pi5 = make_isobaric([(character_of_order(5, 4, field=4), 1)], field=4)
-    with pytest.raises(ValueError, match="degrees >= 2"):
-        tail_convergence_report(one, pi5, 1, sel, (1.5,))
-    good = PrimeSelector(4, 100, degrees=frozenset({2}),
-                         exclude=frozenset({5}))
-    with pytest.raises(ValueError, match="> 1"):
-        tail_convergence_report(one, pi5, 1, good, (0.9,))
 
 
 # -- slope experiment --------------------------------------------------------
