@@ -7,14 +7,15 @@ exact roots of unity stored as exponents; complex floats never appear here.
 
 Two distinct Dirichlet characters can induce the same character of K: chi
 and chi' agree on all place norms iff chi/chi' kills the subgroup of (Z/N)^*
-generated by those norms.  Equality, normalization and twist searches are
-therefore always taken relative to the field tag, through norm_subgroup.
+generated by those norms.  Equality and normalization are therefore always
+taken relative to the field, through norm_subgroup.
 Two sums' components are matched in one place, `pair_components`; equality
 of sums, the pole book and the determination's peeling and descent read it.
 
-A field tag is 1 (the rationals), a conductor m (the m-th cyclotomic field),
-or a single-datum Kummer step; place norms for each come from the splitting
-machinery.
+A field is a `splitting.Field`: the rationals, the m-th cyclotomic field or
+the top of a Kummer tower, with its place norms from the splitting
+machinery.  Every function here also takes the raw description (1, m or a
+tower) and builds the `Field` itself; a report names the field by its tag.
 """
 
 from __future__ import annotations
@@ -28,11 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import ntheory
-from .splitting import (field_bad_primes, norm_subgroup, place_profile,
-                        place_table)
-from .tower import KummerTower
-
-TWIST_SEARCH_BOUND = 10 ** 4
+from .splitting import Field, norm_subgroup, place_table
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +100,7 @@ class NormCharacter:
 
     Values are exact: chi(a) = zeta_order^exps[a] with int exponents, and
     the constructor reduces them by gcd(order, *exps), so `order` is the
-    exact order of chi.  The field tag names the base field whose places it
+    exact order of chi.  The field is the base field whose places it
     evaluates; it changes equality (see norm_equal) but never the table.
     """
 
@@ -119,7 +116,7 @@ class NormCharacter:
         self.modulus = modulus
         self.order = order // g
         self.exps = {a: exps[a] // g % self.order for a in units}
-        self.field = field
+        self.field = Field.of(field)
         self._key = None
         self._check_multiplicative()
 
@@ -225,7 +222,7 @@ class NormCharacter:
     def __hash__(self):
         # norm-equal characters over one field must collide; hash the field
         # only (tiny buckets in practice)
-        return hash(("NormCharacter", repr(self.field)))
+        return hash(("NormCharacter", self.field))
 
     def __repr__(self):
         if self.is_trivial:
@@ -252,6 +249,7 @@ def dirichlet_characters(N: int, field=1) -> list[NormCharacter]:
     gens = unit_group_structure(N)
     o = math.lcm(*(d for _, d in gens))
     logs = _unit_logs(N)
+    field = Field.of(field)
     out = []
     for ks in itertools.product(*(range(d) for _, d in gens)):
         w = [k * (o // d) for k, (_, d) in zip(ks, gens)]
@@ -270,38 +268,34 @@ def character_of_order(N: int, p: int, field=1) -> NormCharacter:
 
 
 # ---------------------------------------------------------------------------
-# field tags and places
-#
-# The places of a field tag come from `splitting.place_table`, one
-# (q, degree, count) table per field; `field_bad_primes` lives there too and
-# is re-exported here.
+# places
 
 def place_norms(field_desc, q: int) -> tuple[int, ...]:
     """Norms of the places above the rational prime q, with multiplicity."""
-    if q in field_bad_primes(field_desc) or not ntheory.isprime(q):
+    K = Field.of(field_desc)
+    if q in K.bad_primes() or not ntheory.isprime(q):
         raise ValueError(f"q = {q} is excluded or not prime")
-    return tuple(q ** f for f, count in place_profile(field_desc, q)
-                 for _ in range(count))
+    return tuple(q ** f for f, count in K.profile(q) for _ in range(count))
 
 
 _H_CACHE: dict = {}
 
 
-def _norm_classes(field_desc, M: int):
-    key = (repr(field_desc), M)
+def _norm_classes(field: Field, M: int):
+    key = (field, M)
     if key not in _H_CACHE:
-        _H_CACHE[key] = norm_subgroup(field_desc, M, bound=max(500, 4 * M))
+        _H_CACHE[key] = norm_subgroup(field, M, bound=max(500, 4 * M))
     return _H_CACHE[key]
 
 
 def norm_equal(chi: NormCharacter, psi: NormCharacter) -> bool:
-    """Equality as characters of the tagged field (almost all places)."""
+    """Equality as characters of their field (almost all places)."""
     if chi.field != psi.field:
         return False
     xi = chi * psi.inverse()
     if xi.is_trivial:
         return True
-    if chi.field == 1:
+    if chi.field.desc == 1:
         return False
     M = xi.modulus
     return all(xi.exps[h % M] == 0 for h in _norm_classes(chi.field, M))
@@ -316,7 +310,7 @@ class IsobaricRep:
 
     components: tuple           # ((NormCharacter, int), ...) canonical order
     t: Fraction
-    field: object = 1
+    field: Field
 
     @property
     def n(self) -> int:
@@ -344,19 +338,17 @@ class IsobaricRep:
 
     def __hash__(self):
         # equality is norm-relative, so hash only what it preserves
-        return hash((repr(self.field), self.t, self.n, len(self.components)))
+        return hash((self.field, self.t, self.n, len(self.components)))
 
     def to_json(self) -> dict:
-        f = self.field
-        field_doc = f if isinstance(f, int) else repr(f)
-        return {"field": field_doc,
+        return {"field": self.field.tag,
                 "components": [dict(ch.to_json(), multiplicity=m)
                                for ch, m in self.components],
                 "t": str(self.t)}
 
     @staticmethod
     def from_json(doc: dict, field=None) -> "IsobaricRep":
-        f = doc.get("field", 1) if field is None else field
+        f = Field.of(doc.get("field", 1) if field is None else field)
         comps = [(NormCharacter.from_json(c, f), int(c.get("multiplicity", 1)))
                  for c in doc["components"]]
         return make_isobaric(comps, Fraction(doc.get("t", 0)), f)
@@ -365,14 +357,13 @@ class IsobaricRep:
 def make_isobaric(components, t=0, field=None) -> IsobaricRep:
     """Normalize: group field-equal characters, add multiplicities, sort.
 
-    The grouping is relative to the field tag, so 1 boxplus chi collapses to
+    The grouping is relative to the field, so 1 boxplus chi collapses to
     the double of the trivial character whenever chi kills the norms.
     """
     comps = list(components)
     if not comps:
         raise ValueError("an isobaric sum needs at least one component")
-    if field is None:
-        field = comps[0][0].field
+    field = comps[0][0].field if field is None else Field.of(field)
     merged: list[list] = []
     for chi, m in comps:
         if m < 1:
@@ -477,7 +468,7 @@ def satake_agreement(pi: IsobaricRep, pi2: IsobaricRep):
 def ramified_primes(*reps: IsobaricRep) -> set[int]:
     """Rational primes dividing the modulus of some component of the reps.
 
-    Together with the field's `field_bad_primes` this is the finite set a
+    Together with the field's `bad_primes()` this is the finite set a
     claim about a pair's places leaves out.
     """
     return {ell for rep in reps for chi, _ in rep.components
@@ -494,16 +485,11 @@ def base_change(pi: IsobaricRep, M, verify_upto: int = 100) -> IsobaricRep:
     by norm transitivity; it is still verified pointwise at unramified primes
     up to the bound, so a wrong field description fails loudly.
     """
-    F = pi.field
-    supported = (F == 1
-                 or (isinstance(F, int) and isinstance(M, int) and M % F == 0)
-                 or (isinstance(F, int) and isinstance(M, KummerTower))
-                 or (isinstance(F, KummerTower)
-                     and isinstance(M, KummerTower)))
-    if not supported and F != M:
+    F, M = pi.field, Field.of(M)
+    if not F.lies_in(M):
         raise ValueError("unsupported extension description")
     out = make_isobaric([(chi, m) for chi, m in pi.components], pi.t, M)
-    bad = field_bad_primes(F) | ramified_primes(pi)
+    bad = F.bad_primes() | ramified_primes(pi)
     below: dict[int, list[int]] = {}
     for q, f, _ in place_table(F, verify_upto):
         below.setdefault(q, []).append(f)
@@ -546,27 +532,6 @@ def lrs_check(A: SatakeClass, n: int, q_v: int) -> bool:
     return all(tp < cap for _, tp in A.eigenvalues)
 
 
-def twist_equivalent(pi: IsobaricRep, pi2: IsobaricRep):
-    """A character chi with pi2 = pi (x) chi, or None.
-
-    Searched over characters of modulus dividing the lcm of all conductors;
-    a model completeness cutoff, not a theorem statement.
-    """
-    if pi.n != pi2.n:
-        raise ValueError("twist equivalence needs equal degrees")
-    L = 1
-    for rep in (pi, pi2):
-        for chi, _ in rep.components:
-            c = chi.conductor()
-            L = L * c // math.gcd(L, c)
-    if L > TWIST_SEARCH_BOUND:
-        raise ValueError("twist search modulus exceeds the configured bound")
-    for chi in dirichlet_characters(L, pi.field):
-        if pi.twist(chi) == pi2:
-            return chi.primitive()
-    return None
-
-
 def twist_eliminate(eta: NormCharacter, eta2: NormCharacter,
                     delta: NormCharacter, fresh: int) -> int:
     """The exponent j with eta2 = eta * delta^j; conductor support forces 0.
@@ -593,7 +558,7 @@ def twist_eliminate(eta: NormCharacter, eta2: NormCharacter,
 
 
 def components_match(pi: IsobaricRep, pi2: IsobaricRep) -> bool:
-    """Model strong multiplicity one: multiset equality over the field tag."""
+    """Model strong multiplicity one: multiset equality over the field."""
     return pi == pi2
 
 

@@ -32,6 +32,7 @@ from .cyclotomic import (
 )
 from .tower import DEFAULT_WITNESS_BOUND, KummerTower, fresh_prime_plan, verify_nested
 from .splitting import (
+    Field,
     classify_rational,
     compositum_min_norm,
     degree1_density,
@@ -67,30 +68,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def parse_field(text: str):
+def parse_field(text: str) -> Field:
     """Field shorthand: Q, Q(i), Q(zN), Q(sqrt D), or a bare conductor."""
     s = text.strip().replace(" ", "")
     if re.fullmatch(r"\d+", s):
-        m = int(s)
-        if m < 1:
-            raise ValueError(f"conductor {m} must be >= 1")
-        return m
+        return Field(int(s))
     if s == "Q":
-        return 1
+        return Field(1)
     if s == "Q(i)":
-        return 4
+        return Field(4)
     hit = _CYCLO_FIELD.fullmatch(s)
     if hit:
-        m = int(hit.group(1))
-        if m < 1:
-            raise ValueError(f"conductor {m} must be >= 1")
-        return m
+        return Field(int(hit.group(1)))
     hit = _SQRT_FIELD.fullmatch(s)
     if hit:
         D = int(hit.group(1))
         if D in (0, 1):
             raise ValueError("Q(sqrt D) needs D not equal to 0 or 1")
-        return KummerTower(1, 2, 1, Datum.of(D))
+        return Field(KummerTower(1, 2, 1, Datum.of(D)))
     raise ValueError(
         f"unrecognized field {text!r}; use Q, Q(i), Q(zN), Q(sqrt D), "
         "or a conductor")

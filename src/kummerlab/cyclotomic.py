@@ -558,10 +558,6 @@ class PowerCertificate:
     witness_prime: CycloPrime | None
     is_pth_power: bool           # True when detected to be a p-th power
 
-    @property
-    def certified_not_power(self):
-        return self.witness_q is not None
-
 
 def datum_power_certificate(d: Datum, p: int,
                             bound: int = DEFAULT_WITNESS_BOUND) -> PowerCertificate:

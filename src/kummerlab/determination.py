@@ -52,12 +52,11 @@ from .cyclotomic import (
 )
 from .lseries import PrimeSelector, pole_book, slope_experiment, tail_threshold
 from .splitting import (
-    field_bad_primes,
+    Field,
     inert_chain_certificate,
     inert_prime_subfield,
     inert_splits_in_top,
     place_table,
-    tower_shape,
     trace_prime,
 )
 from .tower import (
@@ -267,7 +266,7 @@ class ChainPlan:
 @dataclass(frozen=True)
 class TowerPlan:
     kind: str                    # "direct" | "single" | "forked"
-    K_desc: object
+    K: Field
     p: int
     n: int
     height: TowerHeight
@@ -286,21 +285,19 @@ class TowerPlan:
         return None
 
 
-def _field_profile(K_desc):
-    """(p, class, payload) for the supported base field descriptions.
+def _field_profile(K: Field):
+    """(p, class, payload) for the supported base fields.
 
     Classes: "quadratic" (payload = squarefree D), "root-step"
     (K = k(mu_{p^2}) over k = Q(zeta_p)), "kummer-step" (odd-p Kummer step
     over Q(zeta_m) with mu_p present; only the direct case is buildable).
     """
-    if isinstance(K_desc, int):
-        if K_desc not in (3, 4, 6):      # phi(m) = 2
+    t = K.tower
+    if t is None:
+        if K.tag not in (3, 4, 6):      # phi(m) = 2
             raise ValueError(f"unsupported base field class: conductor "
-                             f"{K_desc} is not a quadratic field")
-        return (2, "quadratic", -1 if K_desc == 4 else -3)
-    if not isinstance(K_desc, KummerTower):
-        raise ValueError(f"unsupported base field class: {K_desc!r}")
-    t = K_desc
+                             f"{K.tag} is not a quadratic field")
+        return (2, "quadratic", -1 if K.tag == 4 else -3)
     if t.pre_steps or t.base_is_step or t.r != 1:
         raise ValueError("unsupported base field class: need a single "
                          "Kummer step description")
@@ -320,7 +317,7 @@ def _field_profile(K_desc):
             return (t.p, "root-step", None)
     if t.m % t.p == 0:
         return (t.p, "kummer-step", None)
-    raise ValueError(f"unsupported base field class: {K_desc!r}")
+    raise ValueError(f"unsupported base field class: {K.doc}")
 
 
 def build_L(K_desc, n: int) -> TowerPlan:
@@ -331,10 +328,11 @@ def build_L(K_desc, n: int) -> TowerPlan:
     K: two forks over the index-2 subfields of the compositum with Q(i),
     each carrying its own cover argument.
     """
-    p, cls, D = _field_profile(K_desc)
+    K = Field.of(K_desc)
+    p, cls, D = _field_profile(K)
     ht = choose_tower_height(n, p)
     if ht.direct:
-        return TowerPlan("direct", K_desc, p, n, ht, D, None, ())
+        return TowerPlan("direct", K, p, n, ht, D, None, ())
     if cls == "kummer-step":
         raise ValueError("unsupported base field class: only the direct "
                          "case is available for this step description")
@@ -344,7 +342,7 @@ def build_L(K_desc, n: int) -> TowerPlan:
                             Datum(CycloField(m2).zeta()), base_is_step=True)
         plan_chain = ChainPlan(0, None, None, None, (),
                                cyclotomic_window_certificate(p), chain, None)
-        return TowerPlan("single", K_desc, p, n, ht,
+        return TowerPlan("single", K, p, n, ht,
                          -1 if p == 2 else None, None, (plan_chain,))
     # forked quadratic case
     lattice = pp_lattice(1, 2, Datum.of(D), Datum.of(-1))
@@ -375,7 +373,7 @@ def build_L(K_desc, n: int) -> TowerPlan:
             chosen = candidates[0]
         chains.append(ChainPlan(tag.label, kernel, tag.datum, chosen,
                                 candidates, window, None, None))
-    return TowerPlan("forked", K_desc, p, n, ht, D, lattice, tuple(chains))
+    return TowerPlan("forked", K, p, n, ht, D, lattice, tuple(chains))
 
 
 # ---------------------------------------------------------------------------
@@ -524,19 +522,11 @@ class AgreementHypothesis:
                 return r.q
         return None
 
-    def complete_for(self, degrees) -> bool:
-        present = {r.degree for r in self.rows}
-        return all(d in present for d in degrees)
-
     def summary(self) -> dict:
         return {"field": self.field_doc, "X": self.X,
                 "degrees": list(self.degrees), "rows": len(self.rows),
                 "holds": self.holds(), "witness": self.witness(),
                 "exceptions": len(self.exceptions)}
-
-
-def _field_doc(field_desc) -> str:
-    return str(field_desc) if isinstance(field_desc, int) else repr(field_desc)
 
 
 def check_agreement(pi: IsobaricRep, pi2: IsobaricRep, X: int,
@@ -545,7 +535,7 @@ def check_agreement(pi: IsobaricRep, pi2: IsobaricRep, X: int,
 
     Ramified places land in the exception list: agreement statements are
     about all but finitely many places, and the exceptions name the finite
-    set left out -- the field's `field_bad_primes` and the pair's
+    set left out -- the field's `bad_primes()` and the pair's
     `ramified_primes`, the two exclusion rules every claim shares.
     """
     if pi.field != pi2.field:
@@ -554,7 +544,7 @@ def check_agreement(pi: IsobaricRep, pi2: IsobaricRep, X: int,
     if not degrees or degrees[0] < 1:
         raise ValueError("degrees must be positive")
     field = pi.field
-    bad = field_bad_primes(field)
+    bad = field.bad_primes()
     ram = ramified_primes(pi, pi2)
     exceptions = tuple((q, "field" if q in bad else "ramified")
                        for q in sorted(bad | ram)
@@ -564,8 +554,7 @@ def check_agreement(pi: IsobaricRep, pi2: IsobaricRep, X: int,
                  for q, f, _ in place_table(field, X)
                  if f in degrees and q ** f <= X
                  and q not in bad and q not in ram)
-    return AgreementHypothesis(_field_doc(field), X, degrees, rows,
-                               exceptions)
+    return AgreementHypothesis(field.doc, X, degrees, rows, exceptions)
 
 
 # ---------------------------------------------------------------------------
@@ -580,19 +569,6 @@ class DeterminationReport:
     pole_prediction: int
     slope: object | None
     slope_consistent: bool | None
-
-
-def _realizable_degrees(field_desc) -> set[int] | None:
-    """Residue degrees the field can produce, or None when unknown."""
-    if isinstance(field_desc, int):
-        return set(unit_orders(field_desc)) - {0}
-    t: KummerTower = field_desc
-    shape = tower_shape(t)
-    if shape == "quadratic":
-        return {1, 2}
-    if shape == "zeta-chain":
-        return _realizable_degrees(t.p ** (t.r + 3))
-    return None
 
 
 def _peel(pi: IsobaricRep, pi2: IsobaricRep):
@@ -660,7 +636,7 @@ def _missing_degree(pi: IsobaricRep, pi2: IsobaricRep,
         raise ValueError("the pair must have equal ambient degree")
     need = tuple(range(1, tail_threshold(pi.n)))
     present = {r.degree for r in hypothesis.rows}
-    realizable = _realizable_degrees(pi.field)
+    realizable = pi.field.degrees
     for d in need:
         if d in present:
             continue
@@ -768,7 +744,7 @@ def descend_chain(pi: IsobaricRep, pi2: IsobaricRep,
         used |= plan.lattice.bad_primes()
     for ch in plan.chains:
         if ch.tower is not None:
-            used |= field_bad_primes(ch.tower)
+            used |= Field(ch.tower).bad_primes()
     # delta needs order p mod ell, so ell = 1 mod p (2 is always used at p = 2)
     fresh = fresh_prime_plan(used, plan.p, r, split_modulus=plan.p)
     modified = None
@@ -866,8 +842,7 @@ def final_descent(plan: TowerPlan, pi: IsobaricRep, pi2: IsobaricRep,
 # ---------------------------------------------------------------------------
 # the pipeline
 
-EXIT_CODES = {"EQUAL": 0, "TWIST-EQUIVALENT": 0, "NOT-HYPOTHESIS": 2,
-              "INCONCLUSIVE": 3}
+EXIT_CODES = {"EQUAL": 0, "NOT-HYPOTHESIS": 2, "INCONCLUSIVE": 3}
 
 
 @dataclass(frozen=True)
@@ -929,7 +904,8 @@ def run_pipeline(K_desc, pi: IsobaricRep, pi2: IsobaricRep, X: int = 10 ** 4,
     base descent ends EQUAL only when the components match, so it records
     the trivial character.
     """
-    if pi.field != K_desc or pi2.field != K_desc:
+    K = Field.of(K_desc)
+    if pi.field != K or pi2.field != K:
         raise ValueError("the pair must be tagged with the given field")
     compare_X = min(X, 3000) if compare_X is None else compare_X
     final_X = min(X, 2000) if final_X is None else final_X
@@ -940,7 +916,7 @@ def run_pipeline(K_desc, pi: IsobaricRep, pi2: IsobaricRep, X: int = 10 ** 4,
                                     verdict, _jsonable(certificate)))
 
     def report(verdict, corollary=None):
-        return PipelineReport(_field_doc(K_desc), pi.n, plan.p,
+        return PipelineReport(K.doc, pi.n, plan.p,
                               verdict, EXIT_CODES[verdict], corollary,
                               tuple(stages))
 
@@ -954,8 +930,8 @@ def run_pipeline(K_desc, pi: IsobaricRep, pi2: IsobaricRep, X: int = 10 ** 4,
          {"t": [str(t), str(t2)], "omega_equal": omega == omega2,
           "shifted": t != 0 or t2 != 0})
 
-    p, cls, _D = _field_profile(K_desc)
-    emit("reduce", _field_doc(K_desc), "ok",
+    p, cls, _D = _field_profile(K)
+    emit("reduce", K.doc, "ok",
          {"p": p, "class": cls,
           "mu_p_in_k": True if p == 2 else f"zeta_{p} adjoined"})
 
@@ -963,8 +939,8 @@ def run_pipeline(K_desc, pi: IsobaricRep, pi2: IsobaricRep, X: int = 10 ** 4,
     emit("height", [pi.n, p], "direct" if ht.direct else f"r={ht.r}",
          {"n": ht.n, "p": ht.p, "r": ht.r, "direct": ht.direct})
 
-    plan = build_L(K_desc, pi.n)
-    emit("build", _field_doc(K_desc), plan.kind,
+    plan = build_L(K, pi.n)
+    emit("build", K.doc, plan.kind,
          {"kind": plan.kind, "required_degree": plan.required_degree,
           "chains": [{"label": c.label, "alpha": c.alpha,
                       "window_route": c.window.route,
@@ -975,7 +951,7 @@ def run_pipeline(K_desc, pi: IsobaricRep, pi2: IsobaricRep, X: int = 10 ** 4,
     top = next((c.tower for c in plan.chains if c.tower is not None), None)
     if top is None:
         pi_L, pi2_L = pi, pi2
-        emit("base-change", _field_doc(K_desc), "identity",
+        emit("base-change", K.doc, "identity",
              {"note": "direct plan: no chain to climb"})
     else:
         pi_L = base_change(pi, top, verify_upto=60)

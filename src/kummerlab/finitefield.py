@@ -148,10 +148,10 @@ class ExtField:
         return FFElement(self, c)
 
     def zero(self):
-        return self.element(())
+        return FFElement(self, (0,) * self.d)
 
     def one(self):
-        return self.element((1,))
+        return FFElement(self, (1,) + (0,) * (self.d - 1))
 
     def gen(self):
         """Class of t (for d = 1 this is 0, the root of the modulus t)."""

@@ -224,18 +224,6 @@ def pole_book(pi: IsobaricRep, pi2: IsobaricRep) -> PoleBook:
     return PoleBook(mu, mu2, shared)
 
 
-# ---------------------------------------------------------------------------
-# evaluation near s = 1
-
-def log_partial_Z(pi: IsobaricRep, pi2: IsobaricRep, selector: PrimeSelector,
-                  s: float, M: int | None = None) -> float:
-    """sum c_m(Z) m^{-s} over the selected places, compensated summation."""
-    if s <= 1:
-        raise ValueError("s must be > 1")
-    fl = rs_coeffs(pi, pi2, selector, M or selector.cutoff, "Z").floats()
-    return math.fsum(c * m ** (-s) for m, c in fl.items())
-
-
 @dataclass(frozen=True)
 class PositivityReport:
     checked: int

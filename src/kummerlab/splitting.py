@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dfield
 from fractions import Fraction
 
 from . import ntheory
@@ -440,44 +440,9 @@ def quartic_tower_exponents(rat: Fraction, r: int, q: int):
 
 
 # ---------------------------------------------------------------------------
-# places of a field
+# fields and their places
 
-def field_bad_primes(field_desc) -> set[int]:
-    """Rational primes excluded from place enumeration for this field.
-
-    None for the rationals, the primes of the conductor for a cyclotomic
-    field, and for a tower the single datum rule `cyclotomic.bad_primes`
-    over its datum and pre-steps.
-    """
-    if field_desc == 1:
-        return set()
-    if isinstance(field_desc, int):
-        return set(ntheory.primefactors(field_desc))
-    t: KummerTower = field_desc
-    return bad_primes(t.m, t.p, (t.datum, *t.pre_steps))
-
-
-def tower_shape(t: KummerTower) -> str | None:
-    """The closed form of the tower's top level, or None for the trace.
-
-    "quadratic": Q(sqrt d) for a rational d.  "zeta-chain": the chain of
-    roots of zeta_{p^2} over Q(zeta_{p^2}), whose top is Q(zeta_{p^(r+3)}).
-    "quartic": the 2-power chain of a rational datum over Q(i).
-    """
-    if t.pre_steps:
-        return None
-    d = t.datum
-    if t.base_is_step:
-        zeta = t.m == t.p ** 2 and d.rat == 1 and d.cyc == d.cyc.field.zeta()
-        return "zeta-chain" if zeta else None
-    if t.p != 2 or d.cyc != d.cyc.field.one():
-        return None
-    if t.m == 1 and t.r == 1:
-        return "quadratic"
-    return "quartic" if t.m == 4 else None
-
-
-def _cyclotomic_profiler(m: int):
+def _cyclotomic_places(m: int):
     orders = unit_orders(m)
     phi = len(orders) - orders.count(0)
 
@@ -486,53 +451,111 @@ def _cyclotomic_profiler(m: int):
         if not f:
             raise ValueError(f"q = {q} ramifies in conductor {m}")
         return ((f, phi // f),)
-    return profile
+    return profile, frozenset(orders) - {0}
 
 
-def _profiler(field_desc):
-    """q -> sorted (degree, count) pairs above q, for one field.
+def _tower_places(t: KummerTower):
+    """(profile, degrees) for the top level of a tower.
 
-    The shape and its constants are worked out here once, so that a table
-    pays only the per-prime step: an order, an Euler criterion, the integer
-    quartic bookkeeping, or the residue trace of every base prime.
+    Three shapes have closed forms: Q(sqrt d) for a rational d; the chain
+    of roots of zeta_{p^2} over Q(zeta_{p^2}), whose top is
+    Q(zeta_{p^(r+3)}); and the 2-power chain of a rational datum over Q(i),
+    read by the integer quartic bookkeeping.  Any other tower traces every
+    base prime, and its degrees are unknown (None).
     """
-    if isinstance(field_desc, int):
-        return _cyclotomic_profiler(field_desc)
-    t: KummerTower = field_desc
-    shape = tower_shape(t)
-    if shape == "zeta-chain":
-        return _cyclotomic_profiler(t.p ** (t.r + 3))
-    if shape == "quadratic":
-        num = t.datum.rat.numerator * t.datum.rat.denominator
+    d, bare = t.datum, not t.pre_steps
+    if (bare and t.base_is_step and t.m == t.p ** 2 and d.rat == 1
+            and d.cyc == d.cyc.field.zeta()):
+        return _cyclotomic_places(t.p ** (t.r + 3))
+    if bare and not t.base_is_step and t.p == 2 and d.cyc == d.cyc.field.one():
+        if t.m == 1 and t.r == 1:
+            num = d.rat.numerator * d.rat.denominator
 
-        def profile(q):
-            if q == 2 or num % q == 0:
-                raise ValueError(f"q={q} meets the tower's ramification")
-            inert = pow(num, (q - 1) // 2, q) == q - 1
-            return ((2, 1),) if inert else ((1, 2),)
-    elif shape == "quartic":
-        def profile(q):
-            mult = 2 if q % 4 == 1 else 1
-            return tuple((f, c * mult) for f, c in
-                         quartic_tower_exponents(t.datum.rat, t.r, q))
-    else:
-        def profile(q):
-            agg: dict[int, int] = {}
-            for P in cyclo_primes_above(t.m, q):
-                for e, c in trace_prime(t, P).places(t.r):
-                    agg[e] = agg.get(e, 0) + c
-            return tuple(sorted(agg.items()))
-    return profile
+            def profile(q):
+                if q == 2 or num % q == 0:
+                    raise ValueError(f"q={q} meets the tower's ramification")
+                inert = pow(num, (q - 1) // 2, q) == q - 1
+                return ((2, 1),) if inert else ((1, 2),)
+            return profile, frozenset({1, 2})
+        if t.m == 4:
+            def profile(q):
+                mult = 2 if q % 4 == 1 else 1
+                return tuple((f, c * mult) for f, c in
+                             quartic_tower_exponents(d.rat, t.r, q))
+            return profile, None
+
+    def profile(q):
+        agg: dict[int, int] = {}
+        for P in cyclo_primes_above(t.m, q):
+            for e, c in trace_prime(t, P).places(t.r):
+                agg[e] = agg.get(e, 0) + c
+        return tuple(sorted(agg.items()))
+    return profile, None
+
+
+@dataclass(frozen=True)
+class Field:
+    """A base field: 1 (the rationals), a conductor m (Q(zeta_m)) or a
+    `KummerTower` (its top level).  The only code that reads which.
+
+    `profile(q)`: sorted (degree, count) pairs over Q above a prime q off
+    `bad_primes()`; `degrees`: the residue degrees the field has, or None
+    when unknown.  The shape is decided once, here; a table then pays only
+    the per-prime step.  `tag` names the field in a report: the conductor,
+    or the tower's repr.
+    """
+
+    desc: object
+    tower: KummerTower | None = dfield(init=False, repr=False, compare=False)
+    profile: object = dfield(init=False, repr=False, compare=False)
+    degrees: frozenset | None = dfield(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if isinstance(self.desc, KummerTower):
+            tower, places = self.desc, _tower_places(self.desc)
+        elif type(self.desc) is int and self.desc >= 1:
+            tower, places = None, _cyclotomic_places(self.desc)
+        else:
+            raise ValueError(f"unsupported field description {self.desc!r}: "
+                             "need 1, a conductor m >= 1 or a KummerTower")
+        object.__setattr__(self, "tower", tower)
+        object.__setattr__(self, "profile", places[0])
+        object.__setattr__(self, "degrees", places[1])
+
+    @staticmethod
+    def of(desc) -> "Field":
+        return desc if isinstance(desc, Field) else Field(desc)
+
+    @property
+    def tag(self):
+        return self.desc if self.tower is None else repr(self.tower)
+
+    @property
+    def doc(self) -> str:
+        return str(self.tag)
+
+    def bad_primes(self) -> set[int]:
+        """The primes of the conductor, or for a tower the single datum
+        rule `cyclotomic.bad_primes` over its datum and pre-steps."""
+        t = self.tower
+        if t is None:
+            return set(ntheory.primefactors(self.desc))
+        return bad_primes(t.m, t.p, (t.datum, *t.pre_steps))
+
+    def lies_in(self, other: "Field") -> bool:
+        """Whether base change to `other` is supported: Q(zeta_m) into
+        Q(zeta_M) for m | M, and any field into a tower."""
+        return other.tower is not None or (
+            self.tower is None and other.desc % self.desc == 0)
 
 
 def place_profile(field_desc, q: int):
     """All residue degrees over Q above q, as sorted (degree, count) pairs.
 
-    `field_desc` is 1, a conductor or a tower; q must lie outside
-    `field_bad_primes`.  Closed forms where `tower_shape` names one, the
-    level-by-level residue trace otherwise.
+    `field_desc` is a `Field` or its description; q must lie outside the
+    field's `bad_primes()`.
     """
-    return _profiler(field_desc)(q)
+    return Field.of(field_desc).profile(q)
 
 
 def place_table(field_desc, X: int) -> tuple[tuple[int, int, int], ...]:
@@ -541,8 +564,8 @@ def place_table(field_desc, X: int) -> tuple[tuple[int, int, int], ...]:
     Rows run by q, then degree; count is the number of places of that
     residue degree over Q above q.  Norms q^degree are not cut at X.
     """
-    bad = field_bad_primes(field_desc)
-    profile = _profiler(field_desc)
+    K = Field.of(field_desc)
+    bad, profile = K.bad_primes(), K.profile
     return tuple((q, f, c) for q in ntheory.primerange(2, X + 1)
                  if q not in bad for f, c in profile(q))
 
@@ -550,7 +573,7 @@ def place_table(field_desc, X: int) -> tuple[tuple[int, int, int], ...]:
 def norm_subgroup(field_desc, N: int, bound: int = DEFAULT_NORM_BOUND) -> frozenset:
     """Subgroup of (Z/N)^* generated by place norms up to `bound`.
 
-    `field_desc` is 1, a conductor or a tower.  The cutoff is operational:
+    `field_desc` is a `Field` or its description.  The cutoff is operational:
     generators are collected from the place table's primes <= bound.
     """
     gens = {pow(q, f, N) for q, f, _ in place_table(field_desc, bound)

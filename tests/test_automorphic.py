@@ -25,7 +25,6 @@ from kummerlab.automorphic import (
     satake,
     satake_agreement,
     twist_eliminate,
-    twist_equivalent,
     unit_group_structure,
 )
 from kummerlab.cyclotomic import Datum
@@ -387,32 +386,6 @@ def test_central_char_and_t():
     both = make_isobaric([(TRIV, 1), (CHI4, 1), (chi5, 2)])
     omb, _ = central_char_and_t(both)
     assert omb.key() == (om * om2).key()
-
-
-def test_twist_equivalent():
-    pi = make_isobaric([(TRIV, 1), (CHI4, 1)])
-    assert twist_equivalent(pi, pi).is_trivial
-    pi2 = make_isobaric([(CHI4, 1), (TRIV, 1)])
-    assert twist_equivalent(pi, pi2).is_trivial
-    twisted = pi.twist(CHI8)
-    chi = twist_equivalent(pi, twisted)
-    assert chi is not None and pi.twist(chi) == twisted
-    assert pi.twist(CHI4) == pi2            # chi4 also realizes the twist
-    far = make_isobaric([(TRIV, 1), (character_of_order(5, 4), 1)])
-    assert twist_equivalent(pi, far) is None
-    with pytest.raises(ValueError, match="equal degrees"):
-        twist_equivalent(pi, make_isobaric([(TRIV, 1)]))
-
-
-def test_twist_equivalence_is_symmetric_and_transitive():
-    pi = make_isobaric([(TRIV, 1), (CHI4, 1)])
-    pib = pi.twist(CHI8)
-    pic = pi.twist(CHI8 * CHI4)
-    ab = twist_equivalent(pi, pib)
-    ba = twist_equivalent(pib, pi)
-    assert pib.twist(ba) == pi and pi.twist(ab) == pib
-    bc = twist_equivalent(pib, pic)
-    assert pi.twist(ab * bc) == pic
 
 
 def test_lrs_check():

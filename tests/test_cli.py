@@ -20,6 +20,7 @@ from kummerlab.automorphic import (
 )
 from kummerlab.cli import main, parse_alpha, parse_field
 from kummerlab.cyclotomic import CycloField, Datum
+from kummerlab.splitting import Field
 from kummerlab.tower import KummerTower
 
 QI = 4
@@ -75,14 +76,14 @@ def pairs(tmp_path_factory):
     ("12", 12),
 ])
 def test_field_shorthands(text, expected):
-    assert parse_field(text) == expected
+    assert parse_field(text) == Field(expected)
 
 
 def test_field_sqrt_shorthand():
-    expected = KummerTower(1, 2, 1, Datum.of(3))
+    expected = Field(KummerTower(1, 2, 1, Datum.of(3)))
     assert parse_field("Q(sqrt 3)") == expected
     assert parse_field("Q(sqrt(3))") == expected
-    assert parse_field("Q(sqrt -5)") == KummerTower(1, 2, 1, Datum.of(-5))
+    assert parse_field("Q(sqrt -5)") == Field(KummerTower(1, 2, 1, Datum.of(-5)))
 
 
 @pytest.mark.parametrize("text", ["Q(x)", "0", "Q(z0)", "Q(sqrt 1)",
@@ -383,8 +384,8 @@ def test_pipeline_workload_digest_frozen(tmp_path):
 
 
 def test_theorem_a_equal_pair_past_twist_bound(tmp_path, capsys):
-    # the conductors' lcm 101 * 103 exceeds the twist search bound; an equal
-    # pair needs no search, so the pipeline still ends EQUAL
+    # the conductors' lcm is 101 * 103; an equal pair needs no twist
+    # search, so the pipeline still ends EQUAL
     rep = _rep([character_of_order(101, 2), character_of_order(103, 2)], QI)
     path = tmp_path / "wide.json"
     path.write_text(json.dumps({"pi": rep.to_json(), "pi2": rep.to_json()}))

@@ -213,7 +213,7 @@ def test_build_rejects_unsupported_bases():
     with pytest.raises(ValueError, match="single Kummer step"):
         build_L(KummerTower(1, 2, 1, Datum.of(3),
                             pre_steps=(Datum.of(-1),)), 2)
-    with pytest.raises(ValueError, match="unsupported base field class"):
+    with pytest.raises(ValueError, match="unsupported field description 'Q'"):
         build_L("Q", 2)
 
 
@@ -319,7 +319,6 @@ def test_check_agreement_degrees_and_exclusions():
     both = check_agreement(pi, pi, 50, degrees=(1, 2))
     assert {r.degree for r in both.rows} == {1, 2}
     assert (2, "field") in both.exceptions
-    assert both.complete_for((1, 2)) and not deg2.complete_for((1,))
 
 
 def test_check_agreement_guards():
@@ -675,8 +674,7 @@ STAGE_NAMES = ["normalize", "reduce", "height", "build", "base-change",
 
 
 def test_exit_codes_frozen():
-    assert EXIT_CODES == {"EQUAL": 0, "TWIST-EQUIVALENT": 0,
-                          "NOT-HYPOTHESIS": 2, "INCONCLUSIVE": 3}
+    assert EXIT_CODES == {"EQUAL": 0, "NOT-HYPOTHESIS": 2, "INCONCLUSIVE": 3}
 
 
 def test_pipeline_equal_gaussian():

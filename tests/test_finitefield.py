@@ -285,6 +285,18 @@ def test_prime_field_arithmetic_matches_poly_reference(q):
                 field.element(tuple(_poly_powmod([a], e, modulus, q)))
 
 
+@pytest.mark.parametrize("q", [2, 3, 13])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_one_and_zero_match_element(q, d):
+    # one() and zero() build their padded tuples directly; element() is the
+    # reference
+    field = make_ext_field(q, d)
+    assert field.one() == field.element((1,))
+    assert field.zero() == field.element(())
+    assert hash(field.one()) == hash(field.element((1,)))
+    assert (field.one().key(), field.zero().key()) == (1, 0)
+
+
 def test_big_exponent_arithmetic():
     field = make_ext_field(3, 2)
     x = field.element((1, 1))

@@ -1,8 +1,9 @@
 """Every name a kummerlab module imports is referenced in that module,
 every module-level private function is referenced somewhere in the package,
 no module runs text as code, multiplicative orders mod m come from one
-table, a character makes a Fraction only when its value is read, and sympy
-is loaded only by the algebraic factoring fallback."""
+table, a character makes a Fraction only when its value is read, sympy
+is loaded only by the algebraic factoring fallback, and only
+`splitting.Field` asks whether a field description is a tower."""
 
 import ast
 import os
@@ -296,6 +297,40 @@ def test_sympy_imports_outside_detected():
 def test_sympy_only_in_algebraic_factoring(module):
     assert sympy_imports_outside((SRC / module).read_text(),
                                  "exact_root_in_extension") == []
+
+
+def tower_type_tests(source: str, exempt: str | None) -> list[str]:
+    """`isinstance(_, KummerTower)` calls outside the class named `exempt`.
+
+    `splitting.Field` is the one reader of a field description's type;
+    everything else asks the `Field`.
+    """
+    tree = ast.parse(source)
+    inside = {id(n) for c in tree.body
+              if isinstance(c, ast.ClassDef) and c.name == exempt
+              for n in ast.walk(c)}
+    return [f"line {line}" for line in sorted(
+        n.lineno for n in ast.walk(tree)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+        and n.func.id == "isinstance" and len(n.args) == 2
+        and any(isinstance(x, ast.Name) and x.id == "KummerTower"
+                for x in ast.walk(n.args[1]))
+        and id(n) not in inside)]
+
+
+def test_tower_type_tests_detected():
+    src = ("class Field:\n    def f(self, d):\n"
+           "        return isinstance(d, KummerTower)\n"
+           "def g(d):\n    return isinstance(d, (int, KummerTower))\n"
+           "def h(d):\n    return isinstance(d, int)\n")
+    assert tower_type_tests(src, "Field") == ["line 5"]
+    assert tower_type_tests(src, None) == ["line 3", "line 5"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_tower_type_only_in_field(module):
+    exempt = "Field" if module == "splitting.py" else None
+    assert tower_type_tests((SRC / module).read_text(), exempt) == []
 
 
 NO_SYMPY_RUN = """

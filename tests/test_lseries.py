@@ -8,10 +8,9 @@ from kummerlab.automorphic import (NormCharacter, character_of_order,
                                    dirichlet_characters, make_isobaric)
 from kummerlab.cyclotomic import CycloField, Datum
 from kummerlab.lseries import (CoefficientSeries, PoleBook, PrimeSelector,
-                               exp1, log_partial_Z, pole_book,
-                               positivity_check, root_of_unity, rs_coeffs,
-                               slope_experiment, tail_threshold,
-                               to_complex, value_field)
+                               exp1, pole_book, positivity_check,
+                               root_of_unity, rs_coeffs, slope_experiment,
+                               tail_threshold, to_complex, value_field)
 from kummerlab.tower import KummerTower
 
 TRIV = NormCharacter.trivial()
@@ -209,16 +208,7 @@ def test_pole_book_rejects_mixed_fields():
         pole_book(ONE, up)
 
 
-# -- evaluation near s = 1 ---------------------------------------------------
-
-def test_log_partial_Z_frozen_and_monotone():
-    sel = PrimeSelector(1, 20, exclude=frozenset({2}))
-    val = log_partial_Z(ONE, PI4, sel, 1.5, M=400)
-    assert abs(val - 1.1536433904115548) < 1e-12
-    assert log_partial_Z(ONE, PI4, sel, 2.0, M=400) < val
-    with pytest.raises(ValueError):
-        log_partial_Z(ONE, PI4, sel, 1.0, M=400)
-
+# -- positivity --------------------------------------------------------------
 
 def test_positivity_report_frozen():
     sel = PrimeSelector(1, 200, exclude=frozenset({2}))

@@ -17,8 +17,8 @@ from kummerlab.splitting import (
     classify_prime,
     classify_rational,
     compositum_min_norm,
+    Field,
     degree1_density,
-    field_bad_primes,
     fold_degree_multisets,
     inert_chain_certificate,
     inert_prime_subfield,
@@ -178,11 +178,11 @@ def _with_pre_towers():
 
 
 def test_field_bad_primes_frozen():
-    assert field_bad_primes(1) == set()
-    assert field_bad_primes(12) == {2, 3}
+    assert Field(1).bad_primes() == set()
+    assert Field(12).bad_primes() == {2, 3}
     gauss_pre, nonic_pre = _with_pre_towers()
-    assert field_bad_primes(gauss_pre) == {2, 3, 5, 13}
-    assert field_bad_primes(nonic_pre) == {3, 5, 11}
+    assert Field(gauss_pre).bad_primes() == {2, 3, 5, 13}
+    assert Field(nonic_pre).bad_primes() == {3, 5, 11}
 
 
 def test_inert_certificate_refuses_ramified_and_matches_trace():
@@ -599,7 +599,7 @@ def test_group_p_valuation_matches_mult_order():
 def test_place_profile_matches_trace(field):
     """Closed forms and the place table must agree with the residue trace
     (with the base primes for a conductor), counts included."""
-    bad = field_bad_primes(field)
+    bad = Field(field).bad_primes()
     expected = []
     for q in sympy.primerange(2, 41):
         if q in bad:
