@@ -8,7 +8,8 @@ exact roots of unity stored as exponents; complex floats never appear here.
 Two distinct Dirichlet characters can induce the same character of K: chi
 and chi' agree on all place norms iff chi/chi' kills the subgroup of (Z/N)^*
 generated by those norms.  Equality and normalization are therefore always
-taken relative to the field, through norm_subgroup.
+taken relative to the field, through norm_subgroup.  Characters read
+(Z/N)^* from the one table in `cyclotomic`, as residue degrees do.
 Two sums' components are matched in one place, `pair_components`; equality
 of sums, the pole book and the determination's peeling and descent read it.
 
@@ -26,70 +27,10 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from . import ntheory
+from .cyclotomic import _unit_logs, _units, unit_group_structure
 from .splitting import Field, norm_subgroup, place_table
-
-
-# ---------------------------------------------------------------------------
-# the unit group of Z/N, as explicit cyclic factors
-
-@lru_cache(maxsize=None)
-def unit_group_structure(N: int) -> tuple[tuple[int, int], ...]:
-    """Generators of (Z/N)^* as (g, order) pairs, g lifted mod N via CRT.
-
-    Odd prime powers are cyclic on the least primitive root; 2^k for k >= 3
-    splits as <-1> x <5>.
-    """
-    if N <= 0:
-        raise ValueError("modulus must be positive")
-    if N <= 2:
-        return ()
-    local: list[tuple[int, int, int]] = []   # (prime power, generator, order)
-    for ell, k in ntheory.factorint(N).items():
-        pk = ell ** k
-        if ell == 2:
-            if k == 1:
-                continue
-            if k == 2:
-                local.append((4, 3, 2))
-            else:
-                local.append((pk, pk - 1, 2))
-                local.append((pk, 5, 2 ** (k - 2)))
-        else:
-            local.append((pk, ntheory.primitive_root(pk), pk - pk // ell))
-    gens = []
-    for pk, g, d in local:
-        rest = N // pk
-        # g at this factor, 1 at every other factor
-        lift = (g * rest * pow(rest, -1, pk) + pk * pow(pk, -1, rest)) % N \
-            if rest > 1 else g % N
-        gens.append((lift, d))
-    return tuple(gens)
-
-
-@lru_cache(maxsize=None)
-def _unit_logs(N: int) -> dict[int, tuple[int, ...]]:
-    """Every unit of Z/N written in exponents over unit_group_structure(N)."""
-    gens = unit_group_structure(N)
-    logs = {1 % N: (0,) * len(gens)}
-    frontier = [1 % N]
-    while frontier:
-        a = frontier.pop()
-        ea = logs[a]
-        for i, (g, d) in enumerate(gens):
-            b = (a * g) % N
-            if b not in logs:
-                eb = list(ea)
-                eb[i] = (eb[i] + 1) % d
-                logs[b] = tuple(eb)
-                frontier.append(b)
-    return logs
-
-
-def _units(N: int) -> tuple[int, ...]:
-    return tuple(sorted(_unit_logs(N)))
 
 
 # ---------------------------------------------------------------------------
@@ -144,9 +85,7 @@ class NormCharacter:
     def angle(self, a: int) -> Fraction:
         """chi(a) as a fraction of a full turn, in [0, 1)."""
         a %= self.modulus
-        if self.modulus == 1:
-            return Fraction(0)
-        if math.gcd(a, self.modulus) != 1:
+        if a not in self.exps:
             raise ValueError(f"{a} is not a unit mod {self.modulus}")
         return Fraction(self.exps[a], self.order)
 
@@ -444,16 +383,19 @@ def satake(pi: IsobaricRep, Nv: int) -> SatakeClass:
     return SatakeClass(Nv, tuple(sorted(eig)))
 
 
+def moduli_lcm(*reps: IsobaricRep) -> int:
+    """The lcm of the reps' component moduli: their Satake data read Nv mod it."""
+    return math.lcm(*(chi.modulus for rep in reps for chi, _ in rep.components))
+
+
 def satake_agreement(pi: IsobaricRep, pi2: IsobaricRep):
     """agree(Nv): whether pi and pi2 have one Satake class at norm Nv.
 
-    A component's angle at Nv reads only Nv mod its modulus, so the answer
-    depends only on Nv mod N, the lcm of every component modulus on both
-    sides: `satake` is compared once per residue class, and the answers are
-    kept for the life of the returned function.
+    The answer depends only on Nv mod `moduli_lcm(pi, pi2)`: `satake` is
+    compared once per residue class, and the answers are kept for the life
+    of the returned function.
     """
-    N = math.lcm(*(chi.modulus for rep in (pi, pi2)
-                   for chi, _ in rep.components))
+    N = moduli_lcm(pi, pi2)
     seen = {}
 
     def agree(Nv: int) -> bool:

@@ -50,7 +50,7 @@ from .lseries import (
     slope_experiment,
     tail_threshold,
 )
-from .determination import _jsonable, build_L, descend_chain, run_pipeline
+from .determination import build_L, descend_chain, run_pipeline
 
 EXIT_OK = 0
 EXIT_HYPOTHESIS = 2
@@ -241,7 +241,7 @@ def _emit(payload: dict, args) -> None:
         writer.writerows(rows)
         text = buf.getvalue()
     else:
-        text = json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
+        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

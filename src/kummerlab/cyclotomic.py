@@ -9,7 +9,10 @@ t^j mod Phi_m.  Primes above an unramified rational q are represented
 by residue data only: the pair (q, zbar) with zbar a root of Phi_m in
 F_{q^f}, f = ord(q mod m).  One prime per Frobenius orbit of roots, orbit
 representative and ordering fixed by the canonical element order of the
-residue field.  No ideal arithmetic anywhere.
+residue field.  No ideal arithmetic anywhere.  (Z/N)^* = Gal(Q(zeta_N)/Q)
+is described once, by generators (`unit_group_structure`) and every unit's
+logs over them (`_unit_logs`); residue degrees (`unit_orders`), the units
+of Q(zeta_m) and the characters of `automorphic` read that table.
 
 A Datum is a cyclotomic element times a rational scalar, kept separate so
 that q-adic valuations of planner-modified data can be read off the rational
@@ -138,8 +141,7 @@ class _CycloField:
         return CycloElement(self, vec, x.den)
 
     def units(self):
-        return [a for a in range(1, self.m + 1) if math.gcd(a, self.m) == 1] \
-            if self.m > 1 else [1]
+        return list(_unit_logs(self.m))
 
     def __repr__(self):
         return f"CycloField({self.m})"
@@ -287,18 +289,83 @@ def _combine(x: CycloElement, y: CycloElement, sign: int) -> CycloElement:
                     x.den * sx)
 
 
+# ---------------------------------------------------------------------------
+# (Z/N)^* = Gal(Q(zeta_N)/Q), as explicit cyclic factors
+
+@lru_cache(maxsize=None)
+def unit_group_structure(N: int) -> tuple[tuple[int, int], ...]:
+    """Generators of (Z/N)^* as (g, order) pairs, g lifted mod N via CRT.
+
+    Odd prime powers are cyclic on the least primitive root; 2^k for k >= 3
+    splits as <-1> x <5>.
+    """
+    if N <= 0:
+        raise ValueError("modulus must be positive")
+    if N <= 2:
+        return ()
+    local: list[tuple[int, int, int]] = []   # (prime power, generator, order)
+    for ell, k in ntheory.factorint(N).items():
+        pk = ell ** k
+        if ell == 2:
+            if k == 1:
+                continue
+            if k == 2:
+                local.append((4, 3, 2))
+            else:
+                local.append((pk, pk - 1, 2))
+                local.append((pk, 5, 2 ** (k - 2)))
+        else:
+            local.append((pk, ntheory.primitive_root(pk), pk - pk // ell))
+    gens = []
+    for pk, g, d in local:
+        rest = N // pk
+        # g at this factor, 1 at every other factor
+        lift = (g * rest * pow(rest, -1, pk) + pk * pow(pk, -1, rest)) % N \
+            if rest > 1 else g % N
+        gens.append((lift, d))
+    return tuple(gens)
+
+
+@lru_cache(maxsize=None)
+def _unit_logs(N: int) -> dict[int, tuple[int, ...]]:
+    """Every unit of Z/N, ascending, written in exponents over
+    unit_group_structure(N)."""
+    gens = unit_group_structure(N)
+    logs = {1 % N: (0,) * len(gens)}
+    frontier = [1 % N]
+    while frontier:
+        a = frontier.pop()
+        ea = logs[a]
+        for i, (g, d) in enumerate(gens):
+            b = (a * g) % N
+            if b not in logs:
+                eb = list(ea)
+                eb[i] = (eb[i] + 1) % d
+                logs[b] = tuple(eb)
+                frontier.append(b)
+    return dict(sorted(logs.items()))
+
+
+def _units(N: int) -> tuple[int, ...]:
+    return tuple(_unit_logs(N))
+
+
 @lru_cache(maxsize=None)
 def unit_orders(m: int) -> tuple[int, ...]:
     """ord(a mod m) at each unit a of Z/m, 0 at every other residue.
 
     Entry q % m is the residue degree of every prime of Q(zeta_m) above an
     unramified q (Washington, Thm 2.13), and the nonzero entries number
-    phi(m).  m = 1 gives (1,).
+    phi(m).  A unit with log e over the generators (g_i, d_i) has order
+    lcm_i d_i / gcd(d_i, e_i).  m = 1 gives (1,).
     """
     if m == 1:
         return (1,)
-    return tuple(ntheory.mult_order(a, m) if math.gcd(a, m) == 1 else 0
-                 for a in range(m))
+    orders = [d for _, d in unit_group_structure(m)]
+    table = [0] * m
+    for a, e in _unit_logs(m).items():
+        table[a] = math.lcm(*(d // math.gcd(d, x) for d, x in zip(orders, e)))
+    return tuple(table)
 
 
 @lru_cache(maxsize=None)
@@ -330,8 +397,8 @@ def cyclo_primes_above(m: int, q: int) -> tuple["CycloPrime", ...]:
         raise AssertionError(f"{root} is not a primitive {m}-th root of "
                              f"unity in F_{q}^{f}")
     zbars, seen = [], set()
-    for a in range(m):
-        if a not in seen and math.gcd(a, m) == 1:
+    for a in _unit_logs(m):
+        if a not in seen:
             coset = {a * pow(q, i, m) % m for i in range(f)}
             seen |= coset
             zbars.append(min((powers[b] for b in coset), key=FFElement.key))

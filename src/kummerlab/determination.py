@@ -127,11 +127,6 @@ def _squarefree_kernel(x) -> int:
     return k
 
 
-def _legendre(u: int, q: int) -> int:
-    r = pow(u % q, (q - 1) // 2, q)
-    return 1 if r == 1 else -1
-
-
 def _eps(u: int) -> int:
     return ((u - 1) // 2) % 2
 
@@ -154,9 +149,9 @@ def hilbert_symbol(a, b, place: int) -> int:
     if q != 2:
         s = 1
         if beta:
-            s *= _legendre(u, q)
+            s *= ntheory.jacobi(u, q)
         if alpha:
-            s *= _legendre(w, q)
+            s *= ntheory.jacobi(w, q)
         if alpha and beta and ((q - 1) // 2) % 2:
             s = -s
         return s
@@ -186,7 +181,7 @@ def _quadratic_local_note(d: int, place: int) -> tuple[bool, str]:
         return (True, "inert") if d % 8 == 5 else (False, "split")
     if d % q == 0:
         return (True, "ramified")
-    return (True, "inert") if _legendre(d, q) == -1 else (False, "split")
+    return (True, "inert") if ntheory.jacobi(d, q) == -1 else (False, "split")
 
 
 @dataclass(frozen=True)
@@ -850,12 +845,11 @@ class PipelineStage:
     name: str
     inputs: str
     verdict: str
-    certificate: object
+    certificate: object   # in JSON form: run_pipeline's emit converts it
 
     def to_json(self) -> dict:
         return {"name": self.name, "inputs": self.inputs,
-                "verdict": self.verdict,
-                "certificate": _jsonable(self.certificate)}
+                "verdict": self.verdict, "certificate": self.certificate}
 
 
 @dataclass(frozen=True)

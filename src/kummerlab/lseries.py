@@ -20,8 +20,8 @@ import math
 from dataclasses import dataclass, field as dfield
 from fractions import Fraction
 
-from .automorphic import IsobaricRep, pair_components, ramified_primes
-from .cyclotomic import CycloField
+from .automorphic import IsobaricRep, moduli_lcm, pair_components, ramified_primes
+from .cyclotomic import CycloField, _unit_logs
 from .splitting import place_table
 
 EULER_GAMMA = 0.5772156649015328606
@@ -137,22 +137,12 @@ def _unitary_pair(pi: IsobaricRep, pi2: IsobaricRep):
 def _trace_table(pi: IsobaricRep, F, N: int) -> dict:
     """Residue class of Nv mod N -> exact trace of A_v(pi)."""
     table = {}
-    for a in range(N):
-        if math.gcd(a, N) != 1:
-            continue
+    for a in _unit_logs(N):
         acc = F.zero()
         for chi, mult in pi.components:
             acc = acc + root_of_unity(F, chi.angle(a)) * mult
         table[a] = acc
     return table
-
-
-def _moduli_lcm(pi: IsobaricRep, pi2: IsobaricRep) -> int:
-    N = 1
-    for rep in (pi, pi2):
-        for chi, _ in rep.components:
-            N = N * chi.modulus // math.gcd(N, chi.modulus)
-    return N
 
 
 def rs_coeffs(pi: IsobaricRep, pi2: IsobaricRep, selector: PrimeSelector,
@@ -166,7 +156,7 @@ def rs_coeffs(pi: IsobaricRep, pi2: IsobaricRep, selector: PrimeSelector,
     if kind not in ("log", "Z"):
         raise ValueError("kind must be 'log' or 'Z'")
     _unitary_pair(pi, pi2)
-    N = _moduli_lcm(pi, pi2)
+    N = moduli_lcm(pi, pi2)
     plist = selector.places()
     ramified = ramified_primes(pi, pi2)
     for _Nv, q, _f in plist:

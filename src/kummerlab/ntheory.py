@@ -8,9 +8,8 @@ Comp. 35, 1980), which has no known pseudoprime and is the test sympy
 runs there.  `factorint` divides out the small primes and splits what
 is left as a perfect power, by Brent's variant of Pollard rho (Brent 1980),
 by Pollard p - 1, or by ECM with bounded effort; past that bound it raises
-InconclusiveError instead of searching on.  Orders come from the factored
-Carmichael function (Cohen, A Course in Computational Algebraic Number
-Theory, 1.4).
+InconclusiveError instead of searching on.  `jacobi` is the one quadratic
+symbol: the Lucas test and every Legendre symbol (a / q) read it.
 """
 
 from __future__ import annotations
@@ -88,8 +87,8 @@ def _strong_probable_prime(n: int, bases) -> bool:
     return True
 
 
-def _jacobi(a: int, n: int) -> int:
-    """The Jacobi symbol (a / n) for odd n > 0."""
+def jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a / n) for odd n > 0; the Legendre symbol for n prime."""
     a %= n
     sign = 1
     while a:
@@ -109,7 +108,7 @@ def _strong_lucas_probable_prime(n: int) -> bool:
     if math.isqrt(n) ** 2 == n:
         return False
     D = 5
-    while (j := _jacobi(D, n)) != -1:
+    while (j := jacobi(D, n)) != -1:
         if j == 0 and abs(D) != n:
             return False
         D = -D - 2 if D > 0 else -D + 2
@@ -341,21 +340,6 @@ def iroot(n: int, k: int) -> int:
         if y >= x:
             return x
         x = y
-
-
-def mult_order(a: int, m: int) -> int:
-    """ord(a mod m): the Carmichael exponent lambda(m), stripped prime by prime."""
-    if m < 1 or math.gcd(a, m) != 1:
-        raise ValueError(f"{a} is not a unit mod {m}")
-    lam = 1
-    for ell, k in factorint(m).items():
-        lam = math.lcm(lam, 2 ** (k - 2) if ell == 2 and k > 2
-                       else ell ** (k - 1) * (ell - 1))
-    order = lam
-    for ell in primefactors(lam):
-        while order % ell == 0 and pow(a, order // ell, m) == 1:
-            order //= ell
-    return order
 
 
 def primitive_root(n: int) -> int:

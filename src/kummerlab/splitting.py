@@ -253,9 +253,11 @@ def _step_branch(node: BranchNode, p: int) -> list[BranchNode]:
     return [BranchNode(node.exp * p, nxt.gen(), node.count)]
 
 
-def _enter(tower: KummerTower, prime: CycloPrime) -> tuple | None:
+def _enter(tower: KummerTower, prime: CycloPrime, root: int) -> tuple | None:
     """How a base prime enters the tower, as (image, count, growth).
 
+    `root` is the largest root of the datum the caller adjoins, p^s for s
+    stacked steps: alpha^(1/p^s) is unramified at P only when p^s | v_P(alpha).
     None if the prime ramifies in the datum or a pre-step.  Else the datum's
     image where the chain starts, the primes above `prime` there (a split
     pre-step multiplies them by p) and the relative fields of inert pre-steps.
@@ -265,10 +267,10 @@ def _enter(tower: KummerTower, prime: CycloPrime) -> tuple | None:
         raise ValueError(f"q = {p} is wild: the residue criterion does not apply")
     if prime.m != tower.m:
         raise ValueError("prime lives over a different conductor")
-    readings = [d.reading(prime) for d in (tower.datum, *tower.pre_steps)]
-    if any(v % p for v, _ in readings):
+    (v, image), *pre_images = [d.reading(prime)
+                               for d in (tower.datum, *tower.pre_steps)]
+    if v % root or any(w % p for w, _ in pre_images):
         return None
-    (_, image), *pre_images = readings
     if image is None or any(c is None for _, c in pre_images):
         raise ValueError(f"zero image at q = {q}")
     count = 1
@@ -286,7 +288,7 @@ def _enter(tower: KummerTower, prime: CycloPrime) -> tuple | None:
 
 def trace_prime(tower: KummerTower, prime: CycloPrime) -> PrimeTrace:
     """Follow one base prime through every level; exact place data per level."""
-    entry = _enter(tower, prime)
+    entry = _enter(tower, prime, tower.p ** tower.stacked_steps)
     if entry is None:
         return PrimeTrace(tower, prime, True, ())
     image, count, growth = entry
@@ -310,7 +312,7 @@ def classify_prime(step: KummerTower, prime: CycloPrime) -> DegreeClass:
     """Class of a base prime in the first datum step of `step`."""
     if step.pre_steps:
         raise ValueError("classification is for bare steps; trace instead")
-    entry = _enter(step, prime)
+    entry = _enter(step, prime, step.p)
     if entry is None:
         return DegreeClass.RAMIFIED
     return DegreeClass.DEGREE1 if _splits(entry[0], step.p) else DegreeClass.DEGREEP
@@ -474,7 +476,7 @@ def _tower_places(t: KummerTower):
             def profile(q):
                 if q == 2 or num % q == 0:
                     raise ValueError(f"q={q} meets the tower's ramification")
-                inert = pow(num, (q - 1) // 2, q) == q - 1
+                inert = ntheory.jacobi(num, q) == -1
                 return ((2, 1),) if inert else ((1, 2),)
             return profile, frozenset({1, 2})
         if t.m == 4:
@@ -616,7 +618,7 @@ class InertChainCertificate:
 
 def _inert_cert_at(tower: KummerTower, P: CycloPrime) -> InertChainCertificate:
     p = tower.p
-    entry = _enter(tower, P)
+    entry = _enter(tower, P, p ** tower.stacked_steps)
     if entry is None:
         raise ValueError(f"q = {P.q} ramifies in the tower")
     a0, count, growth = entry

@@ -14,12 +14,15 @@ from kummerlab.cyclotomic import (
     CycloField,
     Datum,
     InconclusiveError,
+    _unit_logs,
+    _units,
     bad_primes,
     cyclo_primes_above,
     cyclotomic_poly_coeffs,
     datum_power_certificate,
     pp_lattice,
     require_not_pth_power,
+    unit_group_structure,
     unit_orders,
 )
 from kummerlab.finitefield import is_pth_power, make_ext_field
@@ -525,12 +528,27 @@ def test_noncanonical_element_raises_under_optimize():
 
 def test_unit_orders_match_n_order():
     assert unit_orders(1) == (1,)
-    for m in range(2, 201):
+    for m in range(2, 301):
         table = unit_orders(m)
         assert len(table) == m
         for a, f in enumerate(table):
             assert f == (sympy.n_order(a, m) if math.gcd(a, m) == 1 else 0)
         assert len(table) - table.count(0) == sympy.totient(m)
+
+
+def test_unit_logs_ascending_and_exact():
+    # the one description of (Z/N)^*: every unit once, ascending, and each
+    # log rebuilds its unit from the generators
+    for N in range(1, 300):
+        gens = unit_group_structure(N)
+        logs = _unit_logs(N)
+        assert list(logs) == [a for a in range(N) if math.gcd(a, N) == 1], N
+        assert _units(N) == tuple(logs)
+        for a, e in logs.items():
+            assert len(e) == len(gens)
+            assert all(0 <= x < d for x, (_, d) in zip(e, gens)), (N, a)
+            assert math.prod(pow(g, x, N) for x, (g, _) in zip(e, gens)) % N \
+                == a, (N, a)
 
 
 def _core_norm_valuation(d, q):

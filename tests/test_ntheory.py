@@ -8,8 +8,8 @@ import pytest
 import sympy
 
 from kummerlab import ntheory
-from kummerlab.automorphic import unit_group_structure
-from kummerlab.cyclotomic import InconclusiveError, cyclotomic_poly_coeffs
+from kummerlab.cyclotomic import (InconclusiveError, cyclotomic_poly_coeffs,
+                                  unit_group_structure)
 
 # the least strong pseudoprimes to the first 4, 5, 6, 7 and 9 prime bases
 STRONG_PSEUDOPRIMES = (3215031751, 2152302898747, 3474749660383,
@@ -112,13 +112,13 @@ def test_factorint_rejects_nonpositive():
     assert ntheory.primefactors(0) == ntheory.primefactors(1) == []
 
 
-def test_mult_order():
-    for m in range(2, 301):
-        for a in range(m):
-            if math.gcd(a, m) == 1:
-                assert ntheory.mult_order(a, m) == sympy.n_order(a, m), (a, m)
-    with pytest.raises(ValueError):
-        ntheory.mult_order(6, 9)
+def test_jacobi_matches_sympy():
+    # (a / n) depends on a mod n: sympy's symbol once per residue, then every
+    # a in [-n, n] against its residue's symbol
+    for n in range(1, 1000, 2):
+        ref = [int(sympy.jacobi_symbol(a, n)) for a in range(n)]
+        for a in range(-n, n + 1):
+            assert ntheory.jacobi(a, n) == ref[a % n], (a, n)
 
 
 def test_least_primitive_roots():

@@ -86,7 +86,7 @@ step = splitting.kummer_step(4, 2, Datum(CycloField(4).element((1, 1))))
 P = cyclo_primes_above(4, 13)[1]
 roots, enter = splitting.pth_roots, splitting._enter
 for name, fake in (("pth_roots", lambda x, p: roots(x, p)[1:]),
-                   ("_enter", lambda t, P: (enter(t, P)[0], 2, ()))):
+                   ("_enter", lambda t, P, root: (enter(t, P, root)[0], 2, ()))):
     real = getattr(splitting, name)
     setattr(splitting, name, fake)
     try:
@@ -276,6 +276,44 @@ def test_trace_ramified_flag():
     assert trace.ramified
     with pytest.raises(ValueError, match="ramified trace has no place data"):
         trace.places(0)
+
+
+def test_stacked_ramification_matches_profile():
+    # oracle: the tame profile e_j = P_j / gcd(P_j, v_q(alpha)).  The top of
+    # a chain adjoins alpha^(1/p^s), s = stacked_steps, so the trace and the
+    # inert-chain certificate call q ramified unless p^s | v_q(alpha); the
+    # classifier reads the first step alone, so p | v_q(alpha) is its rule
+    swept = disagree = 0
+    for m, p, heights in ((1, 2, 3), (4, 2, 3), (5, 5, 1), (9, 3, 2)):
+        F = CycloField(m)
+        cores = (F.one(), F.element((1, 1))) if m > 1 else (F.one(),)
+        for r, base_is_step in itertools.product(range(1, heights + 1),
+                                                 (False, True)):
+            s = r + base_is_step
+            ks = {0, 1, 2, p ** s - p} | {p ** j for j in range(1, s + 1)}
+            first = 0 if base_is_step else 1
+            for q, core, u, k in itertools.product(
+                    sympy.primerange(2, 40), cores,
+                    (Fraction(1), Fraction(-2, 7)), sorted(ks)):
+                if (q == p or m % q == 0 or q in Datum(core).core_support()
+                        or (u.numerator * u.denominator) % q == 0):
+                    continue
+                tower = KummerTower(m, p, r, Datum(core, u * Fraction(q) ** k),
+                                    base_is_step=base_is_step)
+                entries = ramification_profile(tower, q).entries
+                for P in cyclo_primes_above(m, q):
+                    swept += 1
+                    trace = trace_prime(tower, P)
+                    disagree += trace.ramified != (entries[-1] > 1)
+                    assert (classify_prime(tower, P) is DegreeClass.RAMIFIED) \
+                        == (entries[first] > 1), (tower, P)
+                    try:
+                        inert_chain_certificate(tower, P)
+                    except ValueError as e:
+                        assert ("ramifies" in str(e)) == trace.ramified
+                    else:
+                        assert not trace.ramified
+    assert swept > 5000 and disagree == 0
 
 
 def test_compositum_fold_bound():
