@@ -213,7 +213,7 @@ def _load_pair(path: str, field=None):
     try:
         pi = IsobaricRep.from_json(doc["pi"], field=field)
         pi2 = IsobaricRep.from_json(doc["pi2"], field=field)
-    except (KeyError, TypeError, ZeroDivisionError) as e:
+    except (AttributeError, KeyError, TypeError, ZeroDivisionError) as e:
         raise ValueError(f"malformed pair file {path}: {e!r}")
     return pi, pi2
 
@@ -349,7 +349,7 @@ def _cmd_lemma_45(args):
 
 
 def _lattice_from(args):
-    return pp_lattice(1, 2, Datum.of(args.D), Datum.of(args.F))
+    return pp_lattice(Datum.of(args.D), Datum.of(args.F))
 
 
 def _cmd_lemma_58(args):

@@ -419,9 +419,6 @@ class CycloPrime:
     def norm(self) -> int:
         return self.q ** self.f
 
-    def residue_field(self):
-        return self.zbar.field
-
     def reduce(self, x: CycloElement) -> FFElement:
         """Image of x in the residue field; error if q divides a denominator."""
         if x.field.m != self.m:
@@ -461,11 +458,10 @@ class Datum:
     rat: Fraction = Fraction(1)
 
     @staticmethod
-    def of(value, m: int = 1, rat=Fraction(1)) -> "Datum":
-        field = CycloField(m)
+    def of(value, m: int = 1) -> "Datum":
         if isinstance(value, CycloElement):
-            return Datum(value, Fraction(rat))
-        return Datum(field.one(), Fraction(value) * Fraction(rat))
+            return Datum(value)
+        return Datum(CycloField(m).one(), Fraction(value))
 
     @property
     def m(self) -> int:
@@ -666,11 +662,11 @@ def require_not_pth_power(d: Datum, p: int,
 
 
 # ---------------------------------------------------------------------------
-# (p, p)-subfield lattice
+# biquadratic subfield lattice
 
 @dataclass(frozen=True)
 class SubfieldTag:
-    """One index-p subfield of the compositum, as Kummer data over the base."""
+    """One quadratic subfield of the compositum, as a Kummer datum over Q."""
 
     label: int
     datum: Datum
@@ -678,90 +674,50 @@ class SubfieldTag:
 
 
 class PPSubfieldLattice:
-    """E = k(a_K^{1/p}, a_F^{1/p}) with its p+1 index-p subfields.
+    """E = Q(sqrt a_K, sqrt a_F) over Q with its three quadratic subfields.
 
-    Galois coordinates: g = (x, y) acts by g(a_K^{1/p}) = zeta^x a_K^{1/p},
-    g(a_F^{1/p}) = zeta^y a_F^{1/p}.  Subgroups of order p are labelled by
-    their least non-identity element in lexicographic coordinate order;
-    label 0 is the stabiliser coordinate direction fixing K, so F^(0) = K.
+    Galois coordinates: g = (x, y) acts by g(sqrt a_K) = (-1)^x sqrt a_K,
+    g(sqrt a_F) = (-1)^y sqrt a_F.  Label 0 is K, fixed by (0, 1); 1 is F,
+    fixed by (1, 0); 2 is Q(sqrt(a_K a_F)), fixed by (1, 1).  Frobenius at
+    an odd prime q off the data is the pair of Legendre symbols
+    ((a_K/q), (a_F/q)) in additive form.
     """
 
-    def __init__(self, m: int, p: int, K_datum: Datum, F_datum: Datum,
-                 bound: int = DEFAULT_WITNESS_BOUND):
-        if p != 2 and (m % p != 0):
-            raise ValueError(f"mu_{p} not contained in Q(zeta_{m})")
-        if K_datum.m != m or F_datum.m != m:
-            raise ValueError("data must live over the base conductor")
-        require_not_pth_power(K_datum, p, bound)
-        require_not_pth_power(F_datum, p, bound)
-        for j in range(1, p):
-            # K = F would force a_K * a_F^{p-j} to be a p-th power for some j
-            mixed = Datum(K_datum.cyc * F_datum.cyc ** (p - j),
-                          K_datum.rat * F_datum.rat ** (p - j))
-            try:
-                require_not_pth_power(mixed, p, bound)
-            except (ValueError, InconclusiveError) as e:
-                raise ValueError(f"K and F coincide or are indistinguishable "
-                                 f"below the bound: {e}") from e
-        self.m = m
-        self.p = p
+    def __init__(self, K_datum: Datum, F_datum: Datum):
+        if K_datum.m != 1 or F_datum.m != 1:
+            raise ValueError("lattice data must be rational (over Q)")
+        mixed = Datum(K_datum.cyc * F_datum.cyc, K_datum.rat * F_datum.rat)
+        for d in (K_datum, F_datum):
+            if d.is_zero():
+                raise ValueError("zero datum")
+            if _fraction_is_pth_power(d.value().as_fraction(), 2):
+                raise ValueError(f"datum {d!r} is a 2-th power")
+        if _fraction_is_pth_power(mixed.value().as_fraction(), 2):
+            raise ValueError(f"K and F coincide: datum {mixed!r} is a 2-th power")
         self.K_datum = K_datum
         self.F_datum = F_datum
-        subs = [tuple((0, b) for b in range(1, p))]  # fixes K
-        for j in range(p):
-            subs.append(tuple(((a, (a * j) % p) for a in range(1, p))))
-        fields = [SubfieldTag(0, K_datum, subs[0])]
-        for i, j in enumerate(range(p), start=1):
-            # fixed field of <(1, j)>: datum from the orthogonal line <(p-j, 1)>
-            if j == 0:
-                d = F_datum
-            else:
-                d = Datum(K_datum.cyc ** (p - j) * F_datum.cyc,
-                          K_datum.rat ** (p - j) * F_datum.rat)
-            fields.append(SubfieldTag(i, d, subs[i]))
-        self.subfields = tuple(fields)
-        self._bad = frozenset(bad_primes(m, p, (K_datum, F_datum)))
+        self.subfields = (SubfieldTag(0, K_datum, ((0, 1),)),
+                          SubfieldTag(1, F_datum, ((1, 0),)),
+                          SubfieldTag(2, mixed, ((1, 1),)))
+        self._bad = frozenset(bad_primes(1, 2, (K_datum, F_datum)))
 
-    def kummer_exponent(self, d: Datum, prime: CycloPrime) -> int:
-        """e with image^{(Q-1)/p} = zbar_p^e; 0 iff a p-th power."""
-        img = d.unit_part_image(prime)
-        field = img.field
-        n_ = field.size - 1
-        if n_ % self.p != 0:
-            raise ValueError("residue field lacks mu_p (wild or ramified q)")
-        probe = img ** (n_ // self.p)
-        zeta_p = self._zeta_p_image(prime)
-        acc = field.one()
-        for e in range(self.p):
-            if probe == acc:
-                return e
-            acc = acc * zeta_p
-        raise AssertionError("p-power character value outside mu_p")
+    def kummer_exponent(self, d: Datum, q: int) -> int:
+        """The Legendre symbol (d/q) in additive form: 0 iff d is a square mod q."""
+        if not ntheory.isprime(q):
+            raise ValueError(f"q = {q} is not prime")
+        r = d.value().as_fraction()
+        if q == 2 or (s := ntheory.jacobi(r.numerator * r.denominator, q)) == 0:
+            raise ValueError(f"q = {q} is wild or ramified for {d!r}")
+        return 0 if s == 1 else 1
 
-    def _zeta_p_image(self, prime: CycloPrime):
-        if self.p == 2:
-            return -prime.residue_field().one()
-        return prime.zbar ** (self.m // self.p)
-
-    def frobenius_coordinates(self, prime: CycloPrime) -> tuple[int, int]:
-        return (self.kummer_exponent(self.K_datum, prime),
-                self.kummer_exponent(self.F_datum, prime))
+    def frobenius_coordinates(self, q: int) -> tuple[int, int]:
+        return (self.kummer_exponent(self.K_datum, q),
+                self.kummer_exponent(self.F_datum, q))
 
     def bad_primes(self) -> set[int]:
         """The module rule `bad_primes` for both data, as a fresh set."""
         return set(self._bad)
 
-    def all_nonidentity_covered_once(self) -> bool:
-        """Every non-identity group element lies in exactly one H_i."""
-        count = {}
-        for tag in self.subfields:
-            for g in tag.subgroup:
-                count[g] = count.get(g, 0) + 1
-        nontrivial = [(a, b) for a in range(self.p) for b in range(self.p)
-                      if (a, b) != (0, 0)]
-        return all(count.get(g, 0) == 1 for g in nontrivial)
 
-
-def pp_lattice(k_conductor: int, p: int, K_datum: Datum,
-               F_datum: Datum) -> PPSubfieldLattice:
-    return PPSubfieldLattice(k_conductor, p, K_datum, F_datum)
+def pp_lattice(K_datum: Datum, F_datum: Datum) -> PPSubfieldLattice:
+    return PPSubfieldLattice(K_datum, F_datum)

@@ -239,7 +239,7 @@ def cyclotomic_window_certificate(p: int) -> WindowCertificate:
 
 @dataclass(frozen=True)
 class ChainPlan:
-    """One fork: the index-p subfield it serves and how its cover is argued.
+    """One fork: the lattice subfield it serves and how its cover is argued.
 
     `tower` is the residue-traceable chain model when one exists (the fork
     through the field containing i); the complementary fork carries no
@@ -340,7 +340,7 @@ def build_L(K_desc, n: int) -> TowerPlan:
         return TowerPlan("single", K, p, n, ht,
                          -1 if p == 2 else None, None, (plan_chain,))
     # forked quadratic case
-    lattice = pp_lattice(1, 2, Datum.of(D), Datum.of(-1))
+    lattice = pp_lattice(Datum.of(D), Datum.of(-1))
     chains = []
     for tag in lattice.subfields:
         if tag.label == 0:

@@ -133,14 +133,6 @@ def _strong_lucas_probable_prime(n: int) -> bool:
     return False
 
 
-def nextprime(n: int) -> int:
-    """The least prime > n."""
-    q = max(n + 1, 2)
-    while not isprime(q):
-        q += 1
-    return q
-
-
 def _rho(n: int, steps: int) -> int | None:
     """A proper factor of the odd composite n, or None if Brent's cycle
     search on x^2 + c, c = 1, 2, ..., finds none in about 2 * `steps` steps."""

@@ -32,6 +32,7 @@ from .cyclotomic import (
 from .finitefield import (
     first_nonresidue,
     is_pth_power,
+    make_ext_field,
     order_p_valuation,
     pth_roots,
     sylow_valuation,
@@ -47,10 +48,9 @@ class DegreeClass(enum.Enum):
     RAMIFIED = "RAMIFIED"
 
 
-def kummer_step(m: int, p: int, datum: Datum,
-                pre_steps: tuple = ()) -> KummerTower:
+def kummer_step(m: int, p: int, datum: Datum) -> KummerTower:
     """A single degree-p step as a height-1 tower."""
-    return KummerTower(m, p, 1, datum, pre_steps=tuple(pre_steps))
+    return KummerTower(m, p, 1, datum)
 
 
 def _splits(img, p: int) -> bool:
@@ -706,15 +706,7 @@ def inert_prime_subfield(lattice: PPSubfieldLattice, q: int) -> SubfieldClassifi
     """For q inert in K: the unique lattice subfield where q splits."""
     if q in lattice.bad_primes():
         raise ValueError(f"q = {q} is excluded for this lattice")
-    primes = cyclo_primes_above(lattice.m, q)
-    coords = [lattice.frobenius_coordinates(P) for P in primes]
-    x, y = coords[0]
-    p = lattice.p
-    for cx, cy in coords[1:]:
-        # conjugate primes give proportional coordinates
-        if {((a * x) % p, (a * y) % p) for a in range(1, p)} != \
-           {((a * cx) % p, (a * cy) % p) for a in range(1, p)}:
-            raise AssertionError("conjugate primes disagree")
+    x, y = lattice.frobenius_coordinates(q)
     if x == 0 and y == 0:
         raise ValueError(f"q = {q} splits completely in the compositum")
     if x == 0:
@@ -728,10 +720,9 @@ def inert_prime_subfield(lattice: PPSubfieldLattice, q: int) -> SubfieldClassifi
         raise AssertionError(f"no subfield other than K holds Frobenius "
                              f"coordinates {(x, y)}")
     # cross-check by direct residue tests
-    P = primes[0]
-    if lattice.kummer_exponent(hit.datum, P) != 0:
+    if lattice.kummer_exponent(hit.datum, q) != 0:
         raise AssertionError(f"q = {q} does not split in subfield {hit.label}")
-    if lattice.kummer_exponent(lattice.K_datum, P) == 0:
+    if lattice.kummer_exponent(lattice.K_datum, q) == 0:
         raise AssertionError(f"q = {q} splits in K")
     return SubfieldClassification(q, (x, y), hit.label, hit.datum)
 
@@ -746,25 +737,24 @@ class TopSplitCertificate:
 
 
 def inert_splits_in_top(lattice: PPSubfieldLattice, q: int) -> TopSplitCertificate:
-    """A prime inert in K splits into p primes of the full compositum.
+    """A prime inert in K splits into 2 primes of the full compositum.
 
-    The Galois group of the compositum has exponent p, so no Frobenius has
-    order p^2; an order check confirms the K-datum image cannot stay a
-    non-power over the degree-p residue extension's base.
+    The Galois group of the compositum has exponent 2, so no Frobenius has
+    order 4; an order check confirms the F-datum image cannot stay a
+    non-square over the quadratic residue extension F_{q^2}.
     """
     if q in lattice.bad_primes():
         raise ValueError(f"q = {q} is excluded for this lattice")
-    p = lattice.p
-    P = cyclo_primes_above(lattice.m, q)[0]
-    x, y = lattice.frobenius_coordinates(P)
+    x, y = lattice.frobenius_coordinates(q)
     if x == 0:
         raise ValueError(f"q = {q} is not inert in K")
-    # over F_{Q^p} the group's p-part strictly grows, so the F-datum image
-    # (order unchanged under embedding) must become a p-th power
-    imgF = lattice.F_datum.unit_part_image(P)
-    vF = order_p_valuation(imgF, p)
-    sF = sylow_valuation(P.norm - 1, p)
-    s_up = sylow_valuation(P.norm ** p - 1, p)
+    # over F_{q^2} the group's 2-part strictly grows, so the F-datum image
+    # (order unchanged under embedding) must become a square
+    a = lattice.F_datum.value().as_fraction()
+    imgF = make_ext_field(q, 1).element(a.numerator * pow(a.denominator, -1, q))
+    vF = order_p_valuation(imgF, 2)
+    sF = sylow_valuation(q - 1, 2)
+    s_up = sylow_valuation(q * q - 1, 2)
     if not vF <= sF < s_up:
         raise AssertionError(f"vF <= sF < s_up fails: {vF}, {sF}, {s_up}")
-    return TopSplitCertificate(q, (x, y), DegreeClass.DEGREEP, p, 1)
+    return TopSplitCertificate(q, (x, y), DegreeClass.DEGREEP, 2, 1)

@@ -222,21 +222,20 @@ def fresh_prime_plan(used: set[int], p: int, r: int,
     """Multipliers ((l_1, p^1), ..., (l_r, p^r)) with fresh least primes.
 
     Each l_i is the least prime avoiding `used`, p, and earlier choices;
-    with split_modulus set, candidates are restricted to l = 1 mod it (used
+    with split_modulus s set, only l = 1 mod s are tried, stepping by s (used
     to keep the auxiliary primes split in a designated cyclotomic layer).
     """
+    if not ntheory.isprime(p):
+        raise ValueError(f"p = {p} is not prime")
+    if split_modulus is not None and split_modulus < 1:
+        raise ValueError(f"split modulus {split_modulus} must be >= 1")
+    step = split_modulus or 1
     taken = set(used) | {p}
     plan = []
     for i in range(1, r + 1):
-        ell = None
-        q = 1
-        while ell is None:
-            q = ntheory.nextprime(q)
-            if q in taken:
-                continue
-            if split_modulus is not None and q % split_modulus != 1:
-                continue
-            ell = q
+        ell = 1 + step
+        while ell in taken or not ntheory.isprime(ell):
+            ell += step
         taken.add(ell)
         plan.append((ell, p ** i))
     return tuple(plan)

@@ -187,7 +187,7 @@ LATTICE_DS = (3, 5)
 def test_imaginary_subfield_assignment(capsys):
     assigned = 0
     for D in LATTICE_DS:
-        lat = pp_lattice(1, 2, Datum.of(D), Datum.of(-1))
+        lat = pp_lattice(Datum.of(D), Datum.of(-1))
         bad = lat.bad_primes()
         for q in sympy.primerange(3, 10**4 + 1):
             if q in bad or sympy.jacobi_symbol(D, q) != -1:
@@ -218,7 +218,7 @@ def test_imaginary_subfield_assignment(capsys):
 def test_inert_primes_split_upstairs(capsys):
     checked = 0
     for D in LATTICE_DS:
-        lat = pp_lattice(1, 2, Datum.of(D), Datum.of(-1))
+        lat = pp_lattice(Datum.of(D), Datum.of(-1))
         bad = lat.bad_primes()
         for q in sympy.primerange(3, 10**4 + 1):
             if q in bad or sympy.jacobi_symbol(D, q) != -1:

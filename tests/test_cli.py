@@ -4,7 +4,10 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -161,6 +164,24 @@ def test_descent_plan_csv_exact(capsys):
                      "--r", "2", "--format", "csv"], capsys)
     assert code == 0
     assert out == "level,prime,power\n1,3,2\n2,7,4\n"
+
+
+@pytest.mark.parametrize("s", ["1", "0", "-3"])
+def test_descent_plan_split_modulus_terminates(s, capsys):
+    # in a subprocess with a timeout, so a search that never ends fails the
+    # test: s = 1 restricts nothing, and s < 1 is refused
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kummerlab.cli", "descent", "plan", "--p", "2",
+         "--r", "2", f"--split-modulus={s}", "--format", "csv"],
+        env=env, capture_output=True, text=True, timeout=60)
+    if s == "1":
+        unrestricted = run(["descent", "plan", "--p", "2", "--r", "2",
+                            "--format", "csv"], capsys)
+        assert (proc.returncode, proc.stdout) == unrestricted
+        assert proc.stdout == "level,prime,power\n1,3,2\n2,5,4\n"
+    else:
+        assert (proc.returncode, proc.stdout) == (64, "")
 
 
 def test_split_trace_csv_exact(capsys):
@@ -439,9 +460,10 @@ def test_negative_data_space_form(argv, flag, value, capsys):
      "--q", "13", "--r", "2"],
     ["split", "density", "--m", "1", "--p", "3", "--alpha", "2",
      "--X", "200"],
+    ["descent", "plan", "--p", "4", "--r", "2"],
 ], ids=["unknown", "bare-group", "missing-alpha", "zero-n", "zero-threads",
         "csv-no-rows", "bad-field", "missing-pair", "classify-height",
-        "density-no-mu-p"])
+        "density-no-mu-p", "plan-composite-p"])
 def test_invalid_parameters_exit_64(argv, capsys):
     code, _ = run(argv, capsys)
     assert code == 64
@@ -484,6 +506,19 @@ def test_malformed_character_exits_64(tmp_path, capsys, key, value):
     path = tmp_path / "pair.json"
     path.write_text(json.dumps({"pi": side, "pi2": bad}))
     code, out = run(["theorem-a", "--K", "Q(i)", "--pair", str(path)], capsys)
+    assert (code, out) == (64, "")
+
+
+@pytest.mark.parametrize("argv", [["theorem-a", "--K", "Q(i)"],
+                                  ["rs", "coeffs", "--field", "Q(i)"],
+                                  ["descent", "run", "--K", "Q(i)"]])
+def test_pair_table_not_an_object_exits_64(tmp_path, capsys, argv):
+    side = _rep([character_of_order(5, 4).retag(QI)], QI).to_json()
+    bad = json.loads(json.dumps(side))
+    bad["components"][0]["table"] = [1, 2]
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"pi": side, "pi2": bad}))
+    code, out = run([*argv, "--pair", str(path)], capsys)
     assert (code, out) == (64, "")
 
 

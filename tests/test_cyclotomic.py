@@ -1,4 +1,4 @@
-"""Residue primes, reduction maps, and the (p, p) subfield lattice."""
+"""Residue primes, reduction maps, and the biquadratic subfield lattice."""
 
 import itertools
 import math
@@ -268,17 +268,19 @@ def test_power_certificate_cyclotomic_datum():
 
 
 # ---------------------------------------------------------------------------
-# (p, p) lattice
+# biquadratic lattice
 
 def test_pp_lattice_frozen_quadratic():
-    lat = pp_lattice(1, 2, Datum.of(3), Datum.of(-1))
+    lat = pp_lattice(Datum.of(3), Datum.of(-1))
     labels = {t.label: t.datum.value().as_fraction() for t in lat.subfields}
     assert labels == {0: 3, 1: -1, 2: -3}
     assert lat.subfields[0].subgroup == ((0, 1),)
     assert lat.subfields[1].subgroup == ((1, 0),)
     assert lat.subfields[2].subgroup == ((1, 1),)
-    assert lat.all_nonidentity_covered_once()
     assert lat.bad_primes() == {2, 3}
+    for q in (2, 3, 9):     # wild, ramified, not prime
+        with pytest.raises(ValueError):
+            lat.kummer_exponent(Datum.of(3), q)
 
 
 def test_bad_primes_frozen():
@@ -296,62 +298,46 @@ def test_bad_primes_frozen():
 
 
 def test_pp_lattice_bad_primes_frozen_and_fresh():
-    lat = pp_lattice(1, 2, Datum.of(Fraction(5, 3)), Datum.of(-7))
+    lat = pp_lattice(Datum.of(Fraction(5, 3)), Datum.of(-7))
     assert lat.bad_primes() == {2, 3, 5, 7}
     lat.bad_primes().add(11)             # callers may mutate their copy
     assert lat.bad_primes() == {2, 3, 5, 7}
-    lat = pp_lattice(4, 2, Datum(CycloField(4).element((2, 1))), Datum.of(3, 4))
-    assert lat.bad_primes() == {2, 3, 5}
 
 
 def test_pp_lattice_rejects_equal_fields():
     with pytest.raises(ValueError):
-        pp_lattice(1, 2, Datum.of(3), Datum.of(3))
+        pp_lattice(Datum.of(3), Datum.of(3))
     with pytest.raises(ValueError):
-        pp_lattice(1, 2, Datum.of(3), Datum.of(12))  # 12 = 3 * 4, same field
+        pp_lattice(Datum.of(3), Datum.of(12))  # 12 = 3 * 4, same field
     with pytest.raises(ValueError):
-        pp_lattice(1, 2, Datum.of(9), Datum.of(-1))  # K not quadratic
+        pp_lattice(Datum.of(9), Datum.of(-1))  # K not quadratic
 
 
-def test_pp_lattice_requires_mu_p():
+def test_pp_lattice_requires_rational_data():
     with pytest.raises(ValueError):
-        pp_lattice(4, 3, Datum.of(2, m=4), Datum.of(5, m=4))
+        pp_lattice(Datum.of(2, m=4), Datum.of(5, m=4))
+    with pytest.raises(ValueError):
+        pp_lattice(Datum.of(3), Datum(CycloField(4).element((2, 1))))
 
 
-def test_pp_lattice_p3_cover_and_coordinates():
-    lat = pp_lattice(3, 3, Datum.of(2, m=3), Datum.of(5, m=3))
-    assert len(lat.subfields) == 4
-    assert lat.all_nonidentity_covered_once()
-    data = [t.datum.value().as_fraction() for t in lat.subfields]
-    assert data == [2, 5, 20, 10]
-    # conjugate primes above a split q give proportional coordinates
-    for q in (7, 13, 31):
-        coords = [lat.frobenius_coordinates(P)
-                  for P in cyclo_primes_above(3, q)]
-        subgroups = set()
-        for (x, y) in coords:
-            subgroups.add(frozenset(((a * x) % 3, (a * y) % 3)
-                                    for a in range(1, 3)))
-        assert len(subgroups) == 1
+LATTICE_DATA = ((3, -1), (5, -1), (6, -1), (-5, 3), (Fraction(5, 3), -7), (7, 2))
 
 
 def test_kummer_exponent_matches_jacobi_symbol():
-    lat = pp_lattice(1, 2, Datum.of(3), Datum.of(-1))
-    for q in (5, 7, 11, 13, 17, 19, 23):
-        (P,) = cyclo_primes_above(1, q)
-        x, y = lat.frobenius_coordinates(P)
-        assert x == (0 if sympy.jacobi_symbol(3, q) == 1 else 1)
-        assert y == (0 if sympy.jacobi_symbol(-1, q) == 1 else 1)
-
-
-def test_kummer_exponent_additive_p3():
-    lat = pp_lattice(3, 3, Datum.of(2, m=3), Datum.of(5, m=3))
-    for q in (7, 13, 19):
-        P = cyclo_primes_above(3, q)[0]
-        e2 = lat.kummer_exponent(Datum.of(2, m=3), P)
-        e5 = lat.kummer_exponent(Datum.of(5, m=3), P)
-        e10 = lat.kummer_exponent(Datum.of(10, m=3), P)
-        assert e10 == (e2 + e5) % 3
+    # the Legendre-symbol reading against the residue-field reading it
+    # replaced, at every prime q < 20000 off the bad primes
+    for a_K, a_F in LATTICE_DATA:
+        lat = pp_lattice(Datum.of(a_K), Datum.of(a_F))
+        bad = lat.bad_primes()
+        for q in sympy.primerange(3, 20000):
+            if q in bad:
+                continue
+            (P,) = cyclo_primes_above(1, q)
+            slow = [0 if is_pth_power(t.datum.unit_part_image(P), 2) else 1
+                    for t in lat.subfields]
+            assert [lat.kummer_exponent(t.datum, q)
+                    for t in lat.subfields] == slow, (a_K, a_F, q)
+            assert lat.frobenius_coordinates(q) == (slow[0], slow[1])
 
 
 # ---------------------------------------------------------------------------

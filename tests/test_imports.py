@@ -2,8 +2,9 @@
 every module-level private function is referenced somewhere in the package,
 no module runs text as code, multiplicative orders mod m come from one
 table, a character makes a Fraction only when its value is read, sympy
-is loaded only by the algebraic factoring fallback, and only
-`splitting.Field` asks whether a field description is a tower."""
+is loaded only by the algebraic factoring fallback, only
+`splitting.Field` asks whether a field description is a tower, and every
+defaulted parameter of a module-level function is passed by some call."""
 
 import ast
 import os
@@ -331,6 +332,69 @@ def test_tower_type_tests_detected():
 def test_tower_type_only_in_field(module):
     exempt = "Field" if module == "splitting.py" else None
     assert tower_type_tests((SRC / module).read_text(), exempt) == []
+
+
+def unpassed_defaults(defs: dict[str, str], calls: dict[str, str]) -> list[str]:
+    """Defaulted parameters of module-level functions and staticmethods in
+    `defs` that no call in `calls` passes, by position or by keyword.
+
+    A call counts for every function of its name (a bare name or an
+    attribute), so a shared name can only hide a parameter, never flag one
+    falsely; a call with *args or **kwargs passes every parameter.
+    """
+    pos, kws = {}, {}
+    for text in calls.values():
+        for n in ast.walk(ast.parse(text)):
+            if not isinstance(n, ast.Call):
+                continue
+            f = n.func
+            name = f.id if isinstance(f, ast.Name) else \
+                f.attr if isinstance(f, ast.Attribute) else None
+            starred = any(isinstance(a, ast.Starred) for a in n.args)
+            pos[name] = max(pos.get(name, 0),
+                            float("inf") if starred else len(n.args))
+            kws.setdefault(name, set()).update(k.arg for k in n.keywords)
+    out = []
+    for mod, text in defs.items():
+        tree = ast.parse(text)
+        funcs = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
+        funcs += [f for c in tree.body if isinstance(c, ast.ClassDef)
+                  for f in c.body if isinstance(f, ast.FunctionDef)
+                  and any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                          for d in f.decorator_list)]
+        for fn in funcs:
+            a = fn.args
+            params = [*a.posonlyargs, *a.args]
+            first = len(params) - len(a.defaults)
+            defaulted = [(i, x.arg) for i, x in enumerate(params) if i >= first]
+            defaulted += [(None, x.arg) for x, d in zip(a.kwonlyargs,
+                                                        a.kw_defaults)
+                          if d is not None]
+            seen = kws.get(fn.name, set())
+            for i, arg in defaulted:
+                if not ({None, arg} & seen
+                        or i is not None and pos.get(fn.name, 0) > i):
+                    out.append(f"{mod}:{fn.name}({arg}) (line {fn.lineno})")
+    return sorted(out)
+
+
+def test_unpassed_defaults_detected():
+    defs = {"a.py": "def f(x, y=1, z=2, *, w=3):\n    pass\n"
+                    "def g(x=0):\n    pass\n"
+                    "def h(x=0):\n    pass\n"
+                    "class C:\n    @staticmethod\n    def of(v, m=1):\n        pass\n"
+                    "    def method(self, k=1):\n        pass\n"}
+    calls = {"b.py": "f(0, 1)\nm.f(0, z=5)\ng(*args)\nC.of(2)\n",
+             "c.py": "h(**opts)\n"}
+    assert unpassed_defaults(defs, calls) == [
+        "a.py:f(w) (line 1)", "a.py:of(m) (line 9)"]
+
+
+def test_every_default_is_passed():
+    defs = {m: (SRC / m).read_text() for m in MODULES}
+    calls = {str(p): p.read_text() for d in ("src", "tests", "perfbench")
+             for p in sorted((SRC.parent.parent / d).rglob("*.py"))}
+    assert unpassed_defaults(defs, calls) == []
 
 
 NO_SYMPY_RUN = """

@@ -28,7 +28,7 @@ def test_isprime_pseudoprimes(n):
     assert not sympy.isprime(n) and not ntheory.isprime(n)
     # a prime just past each one, reached by Miller-Rabin
     q = sympy.nextprime(n)
-    assert ntheory.isprime(q) and ntheory.nextprime(n) == q
+    assert ntheory.isprime(q)
 
 
 def test_isprime_past_the_deterministic_range():
@@ -155,7 +155,6 @@ def test_primerange_and_divisors():
         assert ntheory.primerange(a, b) == list(sympy.primerange(a, b)), (a, b)
     for n in range(1, 3000):
         assert ntheory.divisors(n) == sympy.divisors(n), n
-        assert ntheory.nextprime(n) == sympy.nextprime(n), n
 
 
 def test_iroot():

@@ -106,6 +106,18 @@ def test_fresh_prime_plan_frozen():
     assert fresh_prime_plan(set(), 3, 1, split_modulus=3) == ((7, 3),)
 
 
+def test_fresh_prime_plan_validates():
+    # a composite p once gave multipliers (2, 4), (3, 16); s = 1 restricts
+    # nothing, and s < 1 once searched forever or divided by zero
+    with pytest.raises(ValueError, match="not prime"):
+        fresh_prime_plan(set(), 4, 2)
+    assert fresh_prime_plan(set(), 2, 2, split_modulus=1) == \
+        fresh_prime_plan(set(), 2, 2)
+    for s in (0, -3):
+        with pytest.raises(ValueError, match="split modulus"):
+            fresh_prime_plan(set(), 2, 2, split_modulus=s)
+
+
 def test_fresh_prime_plan_avoids_collisions():
     plan = fresh_prime_plan({3, 7, 11}, 2, 4)
     primes = [ell for ell, _ in plan]
