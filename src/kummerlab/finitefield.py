@@ -6,13 +6,20 @@ t^d + c_{d-1} t^{d-1} + ... + c_0 are ordered by the tuple
 (c_{d-1}, ..., c_0).  No table lookups (Conway or otherwise): the search runs
 from scratch, so the same (q, d) always yields bit-identical moduli.
 
-Elements are coefficient vectors (c_0, ..., c_{d-1}).  The canonical order on
-elements compares the integer key sum(c_i * q^i), which is the same as
-comparing (c_{d-1}, ..., c_0) lexicographically.  "Least root" and sorted
-root lists refer to this order.
+The first q candidates, the binomials t^d + c, are decided by the binomial
+criterion (Lidl & Niederreiter, Thm 3.75); Ben-Or's test, which stops at
+the first factor degree it finds, decides the rest and confirms the binomial.
 
-Exponents are arbitrary-precision throughout.  Irreducibility is Ben-Or's
-test, which stops at the first factor degree it finds.  p-th roots come from
+Elements are immutable coefficient tuples (c_0, ..., c_{d-1}), their stored
+form.  The canonical order on elements compares the integer key
+sum(c_i * q^i), which is the same as comparing (c_{d-1}, ..., c_0)
+lexicographically.  "Least root" and sorted root lists refer to this order.
+For d >= 2, a product packs each polynomial into w-bit slots of one int
+(Kronecker substitution; von zur Gathen & Gerhard, MCA 8.4), multiplies
+once and folds the d - 1 high slots back through the field's table of
+t^k mod f; a power stays packed until its end.  Over F_q, * and ** are ints.
+
+Exponents are arbitrary-precision throughout.  p-th roots come from
 one deterministic Adleman-Manders-Miller extractor, seeded like the roots of
 unity of ``kummerlab.cyclotomic`` by one scan for a non-p-th power
 (``first_nonresidue``).  ``is_pth_power``, ``first_nonresidue`` and
@@ -35,17 +42,6 @@ def _poly_trim(a):
     return a
 
 
-def _poly_mul(a, b, q):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _poly_trim([c % q for c in out])
-
-
 def _poly_rem(a, f, q):
     # f monic
     a = list(a)
@@ -60,19 +56,48 @@ def _poly_rem(a, f, q):
     return _poly_trim(a)
 
 
-def _poly_mulmod(a, b, f, q):
-    return _poly_rem(_poly_mul(a, b, q), f, q)
+def _pack(a, w):
+    n = 0
+    for c in reversed(a):
+        n = (n << w) | c
+    return n
 
 
-def _poly_powmod(a, e, f, q):
-    result = [1]
-    base = _poly_rem(a, f, q)
+def _reducer(f, q):
+    """(d, q, w, mask, tab) for monic f over F_q: tab packs t^k mod f, k = d..2d-2.
+
+    A folded slot holds at most (2d - 1)(q - 1)^2, which fits in w bits.
+    """
+    d = len(f) - 1
+    w = ((2 * d - 1) * (q - 1) ** 2).bit_length()
+    r, tab = [-c % q for c in f[:-1]], []
+    for _ in range(d - 1):
+        tab.append(_pack(r, w))
+        r = [(x - r[-1] * c) % q for x, c in zip([0] + r[:-1], f)]
+    return d, q, w, (1 << w) - 1, tab
+
+
+def _fold(n, red):
+    """The d reduced coefficients of a packed product n of two reduced polynomials."""
+    d, q, w, mask, tab = red
+    acc, n = n & ((1 << w * d) - 1), n >> w * d
+    for t in tab:
+        acc += (n & mask) % q * t
+        n >>= w
+    return [(acc >> w * i & mask) % q for i in range(d)]
+
+
+def _poly_powmod(a, e, red):
+    """a^e mod (f, q) for a reduced a: packed throughout, unpacked once."""
+    w = red[2]
+    base, result = _pack(a, w), 1
     while e:
         if e & 1:
-            result = _poly_mulmod(result, base, f, q)
-        base = _poly_mulmod(base, base, f, q)
+            result = _pack(_fold(result * base, red), w)
         e >>= 1
-    return result
+        if e:
+            base = _pack(_fold(base * base, red), w)
+    return tuple(_fold(result, red))
 
 
 def _poly_gcd(a, b, q):
@@ -84,26 +109,35 @@ def _poly_gcd(a, b, q):
     return a
 
 
-def _poly_sub(a, b, q):
-    n = max(len(a), len(b))
-    out = [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % q
-           for i in range(n)]
-    return _poly_trim(out)
-
-
 def _is_irreducible(f, q):
     """Monic f over F_q: Ben-Or's test.
 
     f is reducible iff it has an irreducible factor of some degree i <= d/2,
     i.e. iff gcd(f, t^(q^i) - t) != 1; the scan stops at the least such i.
     """
-    x = [0, 1]
-    h = x
+    h, red = (0, 1), _reducer(f, q)
     for _ in range((len(f) - 1) // 2):
-        h = _poly_powmod(h, q, f, q)
-        if len(_poly_gcd(f, _poly_sub(h, x, q), q)) != 1:
+        h = _poly_powmod(h, q, red)
+        g = list(h)
+        g[1] = (g[1] - 1) % q      # t^(q^i) - t
+        if len(_poly_gcd(f, _poly_trim(g), q)) != 1:
             return False
     return True
+
+
+def _irreducible_binomials(q, d):
+    """The c in 1..q-1, ascending, with t^d + c irreducible over F_q (d >= 2).
+
+    Lidl & Niederreiter, Thm 3.75: t^d - a (a != 0) is irreducible iff every
+    prime r | d divides q - 1 and a^((q-1)/r) != 1, and q = 1 mod 4 when
+    4 | d.  When q fails the conditions on q alone, no c is tried.
+    """
+    rs = ntheory.primefactors(d)
+    if any((q - 1) % r for r in rs) or (d % 4 == 0 and q % 4 == 3):
+        return
+    for c in range(1, q):
+        if all(pow(q - c, (q - 1) // r, q) != 1 for r in rs):
+            yield c
 
 
 @lru_cache(maxsize=None)
@@ -113,14 +147,15 @@ def make_ext_field(q: int, d: int) -> "ExtField":
         raise ValueError(f"q = {q} is not prime")
     if d < 1:
         raise ValueError(f"d = {d} must be >= 1")
-    for n in range(q ** d):
-        # digits of n, most significant first, are (c_{d-1}, ..., c_0)
-        digits = []
-        m = n
-        for _ in range(d):
-            digits.append(m % q)
-            m //= q
-        f = digits + [1]  # low-first: (c_0, ..., c_{d-1}, 1)
+    if d > 1:
+        for c in _irreducible_binomials(q, d):    # the least c, if any, is the modulus
+            f = (c,) + (0,) * (d - 1) + (1,)
+            if not _is_irreducible(f, q):
+                raise ArithmeticError(f"binomial criterion and Ben-Or disagree on {f} mod {q}")
+            return ExtField(q, d, f)
+    for n in range(q if d > 1 else 0, q ** d):
+        # the base-q digits of n, most significant first, are (c_{d-1}, ..., c_0)
+        f = [n // q ** i % q for i in range(d)] + [1]
         if _is_irreducible(f, q):
             return ExtField(q, d, tuple(f))
     raise AssertionError("no irreducible polynomial found")
@@ -129,14 +164,14 @@ def make_ext_field(q: int, d: int) -> "ExtField":
 class ExtField:
     """F_{q^d} under the canonical modulus.  Build via make_ext_field."""
 
-    __slots__ = ("q", "d", "modulus", "size", "_nonres")
+    __slots__ = ("q", "d", "modulus", "size", "_nonres", "_red", "_zero", "_one")
 
     def __init__(self, q, d, modulus):
-        self.q = q
-        self.d = d
-        self.modulus = modulus
-        self.size = q ** d
+        self.q, self.d, self.modulus, self.size = q, d, modulus, q ** d
         self._nonres = {}
+        self._red = _reducer(modulus, q)
+        self._zero = FFElement(self, (0,) * d)
+        self._one = FFElement(self, (1,) + (0,) * (d - 1))
 
     def element(self, coeffs) -> "FFElement":
         if isinstance(coeffs, int):
@@ -148,27 +183,20 @@ class ExtField:
         return FFElement(self, c)
 
     def zero(self):
-        return FFElement(self, (0,) * self.d)
+        return self._zero
 
     def one(self):
-        return FFElement(self, (1,) + (0,) * (self.d - 1))
+        return self._one
 
     def gen(self):
         """Class of t (for d = 1 this is 0, the root of the modulus t)."""
-        if self.d == 1:
-            return self.element((-self.modulus[0],))
         return self.element((0, 1))
 
     def from_index(self, n: int) -> "FFElement":
-        coeffs = []
-        for _ in range(self.d):
-            coeffs.append(n % self.q)
-            n //= self.q
-        return FFElement(self, tuple(coeffs))
+        return FFElement(self, tuple(n // self.q ** i % self.q for i in range(self.d)))
 
     def elements(self):
-        for n in range(self.size):
-            yield self.from_index(n)
+        return map(self.from_index, range(self.size))
 
     def nonresidue(self, p: int) -> "FFElement":
         """The first non-p-th power from t^(d-1) on (`first_nonresidue`).
@@ -224,18 +252,18 @@ class FFElement:
         q = self.field.q
         return FFElement(self.field, tuple((-a) % q for a in self.coeffs))
 
-    # Products and powers come back reduced (mod q and mod the modulus), so
-    # they are only padded.  Over F_q (d = 1) the modulus is t, and no
-    # constant reduces by it: ints mod q and the builtin pow give the tuple.
+    # Products and powers come back reduced (mod q and mod the modulus) from
+    # the packed core.  Over F_q (d = 1) the modulus is t, and no constant
+    # reduces by it: ints mod q and the builtin pow give the tuple.
 
     def __mul__(self, other):
         other = self._coerce(other)
         f = self.field
         if f.d == 1:
             return FFElement(f, (self.coeffs[0] * other.coeffs[0] % f.q,))
-        prod = _poly_mulmod(list(self.coeffs), list(other.coeffs),
-                            list(f.modulus), f.q)
-        return FFElement(f, tuple(prod) + (0,) * (f.d - len(prod)))
+        w = f._red[2]
+        prod = _pack(self.coeffs, w) * _pack(other.coeffs, w)
+        return FFElement(f, tuple(_fold(prod, f._red)))
 
     def __pow__(self, e):
         f = self.field
@@ -245,11 +273,7 @@ class FFElement:
             return FFElement(f, (pow(self.coeffs[0], e, f.q),))
         if self.is_zero():
             return f.one() if e == 0 else f.zero()
-        e %= f.size - 1
-        if e == 0:
-            return f.one()
-        out = _poly_powmod(list(self.coeffs), e, list(f.modulus), f.q)
-        return FFElement(f, tuple(out) + (0,) * (f.d - len(out)))
+        return FFElement(f, _poly_powmod(self.coeffs, e % (f.size - 1), f._red))
 
     def inverse(self):
         if self.is_zero():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,11 +9,11 @@ from hypothesis import strategies as st
 
 import sympy
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_gcd, gf_pow_mod, gf_sub
+from sympy.polys.galoistools import (gf_gcd, gf_mul, gf_pow_mod, gf_rem,
+                                     gf_strip, gf_sub)
 
 from kummerlab.finitefield import (
-    _poly_mulmod,
-    _poly_powmod,
+    _irreducible_binomials,
     is_pth_power,
     make_ext_field,
     order_p_valuation,
@@ -75,6 +76,26 @@ def rabin_is_irreducible(f, q):
         return False
     return all(gf_gcd(f, gf_sub(frob[d // e], x, q, ZZ), q, ZZ) == [1]
                for e in sympy.primefactors(d))
+
+
+def sympy_poly(coeffs):
+    """Low-first coefficients as a sympy dense polynomial (highest first)."""
+    return gf_strip([ZZ(c) for c in reversed(coeffs)])
+
+
+def sympy_mul(x, y):
+    """x * y in x's field through sympy's gf_mul and gf_rem."""
+    F = x.field
+    r = gf_rem(gf_mul(sympy_poly(x.coeffs), sympy_poly(y.coeffs), F.q, ZZ),
+               sympy_poly(F.modulus), F.q, ZZ)
+    return F.element(tuple(int(c) for c in reversed(r)))
+
+
+def sympy_pow(x, e):
+    """x ** e (e >= 0) in x's field through sympy's gf_pow_mod."""
+    F = x.field
+    r = gf_pow_mod(sympy_poly(x.coeffs), e, sympy_poly(F.modulus), F.q, ZZ)
+    return F.element(tuple(int(c) for c in reversed(r)))
 
 
 def rabin_least_modulus(q, d):
@@ -271,18 +292,55 @@ def test_find_roots_by_exhaustion():
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 13, 31])
 def test_prime_field_arithmetic_matches_poly_reference(q):
-    # over F_q, * and ** run on ints; the list polynomials are the reference
+    # over F_q, * and ** run on ints; sympy's gf_* polynomials are the reference
     field = make_ext_field(q, 1)
     assert field.modulus == (0, 1)
-    modulus = list(field.modulus)
     for a in range(q):
         x = field.element(a)
         for b in range(q):
-            assert x * field.element(b) == \
-                field.element(tuple(_poly_mulmod([a], [b], modulus, q)))
+            assert x * field.element(b) == sympy_mul(x, field.element(b))
         for e in [*range(2 * q + 1), 10 ** 21 + 7]:
-            assert x ** e == \
-                field.element(tuple(_poly_powmod([a], e, modulus, q)))
+            assert x ** e == sympy_pow(x, e)
+
+
+@pytest.mark.parametrize("q,d", [(2, 8), (5, 6), (13, 12), (1999, 2), (1999, 6),
+                                 (1289, 6), (3, 7)])
+def test_packed_arithmetic_matches_sympy(q, d):
+    # products and powers run on packed ints for d >= 2; sympy is the reference.
+    # Over F_{3^7} the square of the all-(q - 1) element folds a slot past
+    # d (q - 1)^2, so a slot width sized for the product alone would overflow.
+    rng = random.Random(q * 100 + d)
+    field = make_ext_field(q, d)
+    edge = [field.zero(), field.one(), field.from_index(q ** (d - 1)),
+            field.element((q - 1,) * d)]
+    els = edge + [field.from_index(rng.randrange(field.size)) for _ in range(12)]
+    for x in els:
+        for y in els:
+            assert (x * y).coeffs == sympy_mul(x, y).coeffs
+        exps = [0, 1, 2, q, field.size - 2, 10 ** 21 + 7, rng.randrange(10 ** 21)]
+        for e in exps:
+            assert (x ** e).coeffs == sympy_pow(x, e).coeffs, (x, e)
+        if not x.is_zero():
+            assert x * x ** -1 == field.one()
+
+
+@pytest.mark.parametrize("q", list(sympy.primerange(2, 60)))
+def test_binomial_criterion_matches_rabin(q):
+    # the criterion decides each t^d + c; Rabin's test is the reference.  q = 2
+    # and q = 3 mod 4 with 4 | d are the branches that reject every binomial.
+    for d in (2, 3, 4, 6, 8):
+        if q ** d > 10 ** 12:
+            continue
+        fast = set(_irreducible_binomials(q, d))
+        slow = {c for c in range(q) if rabin_is_irreducible([1] + [0] * (d - 1) + [c], q)}
+        assert fast == slow, (q, d)
+
+
+def test_large_tower_scan_moduli_frozen():
+    # beyond the Rabin reference's reach: no binomial t^6 + c is irreducible
+    # over F_1289 or F_401 (3 does not divide q - 1)
+    assert make_ext_field(1289, 6).modulus == (1, 1, 0, 0, 0, 0, 1)
+    assert make_ext_field(401, 6).modulus == (5, 1, 0, 0, 0, 0, 1)
 
 
 @pytest.mark.parametrize("q", [2, 3, 13])
