@@ -82,10 +82,7 @@ def parse_field(text: str) -> Field:
         return Field(int(hit.group(1)))
     hit = _SQRT_FIELD.fullmatch(s)
     if hit:
-        D = int(hit.group(1))
-        if D in (0, 1):
-            raise ValueError("Q(sqrt D) needs D not equal to 0 or 1")
-        return Field(KummerTower(1, 2, 1, Datum.of(D)))
+        return Field(KummerTower(1, 2, 1, Datum.of(int(hit.group(1)))))
     raise ValueError(
         f"unrecognized field {text!r}; use Q, Q(i), Q(zN), Q(sqrt D), "
         "or a conductor")
@@ -194,8 +191,9 @@ def _thread_count(args) -> int:
     return n
 
 
-def _positive(name: str, value: int) -> int:
-    if value < 1:
+def _positive(name: str, value: int | None) -> int | None:
+    """`value` when it is unset (None) or at least 1; else ValueError."""
+    if value is not None and value < 1:
         raise ValueError(f"{name} must be positive, got {value}")
     return value
 
@@ -438,8 +436,9 @@ def _cmd_descent_run(args):
     K = parse_field(args.K)
     pi, pi2 = _load_pair(args.pair, K)
     plan = build_L(K, pi.n)
-    cert = descend_chain(pi, pi2, plan,
-                         verify_upto=_positive("verify-upto", args.verify_upto))
+    upto = _positive("verify-upto", args.verify_upto)
+    cert = descend_chain(pi, pi2, plan, plan.lift(pi, upto),
+                         plan.lift(pi2, upto))
     payload = _report(
         "descent-report", args, K=args.K, n=pi.n,
         conclusion=cert.conclusion,
@@ -457,7 +456,8 @@ def _cmd_theorem_a(args):
     K = parse_field(args.K)
     pi, pi2 = _load_pair(args.pair, K)
     report = run_pipeline(K, pi, pi2, X=_positive("X", args.X),
-                          compare_X=args.compare_X, final_X=args.final_X,
+                          compare_X=_positive("compare-X", args.compare_X),
+                          final_X=_positive("final-X", args.final_X),
                           slope_cutoff=args.slope_cutoff)
     payload = dict(report.to_json())
     payload["threads"] = args.thread_count

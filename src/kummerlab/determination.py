@@ -114,19 +114,6 @@ def choose_tower_height(n: int, p: int) -> TowerHeight:
 # ---------------------------------------------------------------------------
 # rational Hilbert symbols and the quartic window criterion
 
-def _squarefree_kernel(x) -> int:
-    """Signed squarefree representative of the square class of x."""
-    x = Fraction(x)
-    if x == 0:
-        raise ValueError("zero has no square class")
-    n = x.numerator * x.denominator
-    k = -1 if n < 0 else 1
-    for q, e in ntheory.factorint(abs(n)).items():
-        if e % 2:
-            k *= q
-    return k
-
-
 def _eps(u: int) -> int:
     return ((u - 1) // 2) % 2
 
@@ -137,8 +124,8 @@ def _omega(u: int) -> int:
 
 def hilbert_symbol(a, b, place: int) -> int:
     """(a, b) at a rational place: a prime, or 0 for the real place."""
-    a = _squarefree_kernel(a)
-    b = _squarefree_kernel(b)
+    a = ntheory.squarefree_kernel(a)
+    b = ntheory.squarefree_kernel(b)
     if place == 0:
         return -1 if (a < 0 and b < 0) else 1
     q = place
@@ -162,8 +149,8 @@ def hilbert_symbol(a, b, place: int) -> int:
 def hilbert_obstructions(a, b) -> tuple[int, ...]:
     """Places where (a, b) = -1; 0 stands for the real place."""
     cand = {0, 2}
-    cand.update(ntheory.primefactors(abs(_squarefree_kernel(a))))
-    cand.update(ntheory.primefactors(abs(_squarefree_kernel(b))))
+    cand.update(ntheory.primefactors(abs(ntheory.squarefree_kernel(a))))
+    cand.update(ntheory.primefactors(abs(ntheory.squarefree_kernel(b))))
     out = tuple(v for v in sorted(cand) if hilbert_symbol(a, b, v) == -1)
     if len(out) % 2:
         raise AssertionError("product formula violated")
@@ -204,8 +191,8 @@ class WindowCertificate:
 
 
 def quadratic_window_certificate(d, alpha) -> WindowCertificate:
-    d = _squarefree_kernel(d)
-    a = _squarefree_kernel(alpha)
+    d = ntheory.squarefree_kernel(d)
+    a = ntheory.squarefree_kernel(alpha)
     base = f"Q(sqrt {d})"
     if d == -1:
         return WindowCertificate(base, "contains-i", a, (), (), True)
@@ -265,13 +252,23 @@ class TowerPlan:
     p: int
     n: int
     height: TowerHeight
-    D: int | None                # squarefree kernel for quadratic K
+    field_class: str             # "quadratic" | "root-step" | "kummer-step"
     lattice: PPSubfieldLattice | None
     chains: tuple[ChainPlan, ...]
 
     @property
     def required_degree(self) -> int:
         return self.p ** self.height.r
+
+    @property
+    def top(self) -> KummerTower | None:
+        """The chain top the pair is compared over; None on a direct plan."""
+        return next((ch.tower for ch in self.chains if ch.tower), None)
+
+    def lift(self, rep: IsobaricRep, verify_upto: int) -> IsobaricRep:
+        """`rep` base-changed to the chain top, or `rep` itself without one."""
+        top = self.top
+        return rep if top is None else base_change(rep, top, verify_upto)
 
     def chain_for(self, label: int) -> ChainPlan | None:
         for ch in self.chains:
@@ -281,37 +278,31 @@ class TowerPlan:
 
 
 def _field_profile(K: Field):
-    """(p, class, payload) for the supported base fields.
+    """(p, class) for the supported base fields.
 
-    Classes: "quadratic" (payload = squarefree D), "root-step"
+    Classes: "quadratic" (K = Q(sqrt D), D = `K.D`), "root-step"
     (K = k(mu_{p^2}) over k = Q(zeta_p)), "kummer-step" (odd-p Kummer step
     over Q(zeta_m) with mu_p present; only the direct case is buildable).
     """
+    if K.D is not None:
+        return 2, "quadratic"
     t = K.tower
     if t is None:
-        if K.tag not in (3, 4, 6):      # phi(m) = 2
-            raise ValueError(f"unsupported base field class: conductor "
-                             f"{K.tag} is not a quadratic field")
-        return (2, "quadratic", -1 if K.tag == 4 else -3)
+        raise ValueError(f"unsupported base field class: conductor "
+                         f"{K.tag} is not a quadratic field")
     if t.pre_steps or t.base_is_step or t.r != 1:
         raise ValueError("unsupported base field class: need a single "
                          "Kummer step description")
+    if t.m == 1:    # p = 2 over Q is quadratic
+        raise ValueError("unsupported base field class: odd-degree step "
+                         "over Q lacks the needed roots of unity")
     one = t.datum.cyc.field.one()
-    if t.m == 1:
-        if t.p != 2:
-            raise ValueError("unsupported base field class: odd-degree step "
-                             "over Q lacks the needed roots of unity")
-        D = _squarefree_kernel(t.datum.rat)
-        if D == 1:
-            raise ValueError("unsupported base field class: trivial "
-                             "quadratic datum")
-        return (2, "quadratic", D)
     if t.m == t.p and t.datum.rat in (Fraction(1), Fraction(-1)):
         z = t.datum.cyc
         if z != one and z ** t.p == one:
-            return (t.p, "root-step", None)
+            return t.p, "root-step"
     if t.m % t.p == 0:
-        return (t.p, "kummer-step", None)
+        return t.p, "kummer-step"
     raise ValueError(f"unsupported base field class: {K.doc}")
 
 
@@ -324,28 +315,28 @@ def build_L(K_desc, n: int) -> TowerPlan:
     each carrying its own cover argument.
     """
     K = Field.of(K_desc)
-    p, cls, D = _field_profile(K)
+    p, cls = _field_profile(K)
     ht = choose_tower_height(n, p)
     if ht.direct:
-        return TowerPlan("direct", K, p, n, ht, D, None, ())
+        return TowerPlan("direct", K, p, n, ht, cls, None, ())
     if cls == "kummer-step":
         raise ValueError("unsupported base field class: only the direct "
                          "case is available for this step description")
+    D = K.D
     if cls == "root-step" or D == -1:
         m2 = p * p
         chain = KummerTower(m2, p, ht.r - 1,
                             Datum(CycloField(m2).zeta()), base_is_step=True)
         plan_chain = ChainPlan(0, None, None, None, (),
                                cyclotomic_window_certificate(p), chain, None)
-        return TowerPlan("single", K, p, n, ht,
-                         -1 if p == 2 else None, None, (plan_chain,))
+        return TowerPlan("single", K, p, n, ht, cls, None, (plan_chain,))
     # forked quadratic case
     lattice = pp_lattice(Datum.of(D), Datum.of(-1))
     chains = []
     for tag in lattice.subfields:
         if tag.label == 0:
             continue
-        kernel = _squarefree_kernel(tag.datum.rat)
+        kernel = ntheory.squarefree_kernel(tag.datum.rat)
         if kernel == -1:
             tower = KummerTower(4, 2, ht.r + 1, Datum.of(D, m=4))
             chains.append(ChainPlan(
@@ -354,7 +345,7 @@ def build_L(K_desc, n: int) -> TowerPlan:
                 tower, verify_nested(tower)))
             continue
         candidates = tuple(dict.fromkeys(
-            _squarefree_kernel(D * kernel ** j) for j in range(2)))
+            ntheory.squarefree_kernel(D * kernel ** j) for j in range(2)))
         chosen = None
         window = None
         for a in candidates:
@@ -368,7 +359,7 @@ def build_L(K_desc, n: int) -> TowerPlan:
             chosen = candidates[0]
         chains.append(ChainPlan(tag.label, kernel, tag.datum, chosen,
                                 candidates, window, None, None))
-    return TowerPlan("forked", K, p, n, ht, D, lattice, tuple(chains))
+    return TowerPlan("forked", K, p, n, ht, cls, lattice, tuple(chains))
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +400,8 @@ def _inert_rational_primes(plan: TowerPlan, X: int) -> list[int]:
     somewhere in the construction and stay excluded, matching the
     unramified-only scope of every claim here.
     """
-    if plan.D is not None:
-        base = KummerTower(1, 2, 1, Datum.of(plan.D))
+    if plan.K.D is not None:
+        base = KummerTower(1, 2, 1, Datum.of(plan.K.D))
         return [q for q, f, _ in place_table(base, X) if f == 2]
     if plan.kind == "direct":
         return []
@@ -699,33 +690,26 @@ def _component_by_key(pi: IsobaricRep, key) -> NormCharacter | None:
     return None
 
 
-def descend_chain(pi: IsobaricRep, pi2: IsobaricRep,
-                  plan: TowerPlan, verify_upto: int = 60
-                  ) -> DescentCertificate:
+def descend_chain(pi: IsobaricRep, pi2: IsobaricRep, plan: TowerPlan,
+                  pi_L: IsobaricRep, pi2_L: IsobaricRep) -> DescentCertificate:
     """Walk the chain top-down, eliminating twists with fresh primes.
 
-    Premise: the pair base-changes to equal objects at the chain top.  The
-    planned fresh primes scale the chain datum (recorded in the
-    certificate), so each scaled step's character ramifies at a prime
-    where neither side does -- per matched pair the twist exponent must
-    come out 0, one level at a time.  A direct plan, or an explicit
-    height-0 chain, passes the input equality through unchanged.
+    Premise: the pair's lifts to the chain top, `pi_L` and `pi2_L` (from
+    `plan.lift`), are equal.  The planned fresh primes scale the chain
+    datum (recorded in the certificate), so each scaled step's character
+    ramifies at a prime where neither side does -- per matched pair the
+    twist exponent must come out 0, one level at a time.  A direct plan has
+    no top: its lifts are the pair, and the input equality passes through.
     """
     if pi.field != pi2.field:
         raise ValueError("the pair must live over one field")
-    r = 0 if plan.height.direct else plan.height.r
-    if r == 0 or not plan.chains:
-        if not components_match(pi, pi2):
-            raise ValueError("descent premise fails: the pair is not equal")
-        return DescentCertificate((), (), None,
-                                  "passthrough: input equality")
-    top = next((ch.tower for ch in plan.chains if ch.tower is not None), None)
-    if top is not None:
-        pi_L = base_change(pi, top, verify_upto=verify_upto)
-        pi2_L = base_change(pi2, top, verify_upto=verify_upto)
-        if not components_match(pi_L, pi2_L):
-            raise ValueError("descent premise fails: base changes to the "
-                             "chain top are not equal")
+    top = plan.top
+    if not components_match(pi_L, pi2_L):
+        raise ValueError("descent premise fails: " + (
+            "the pair is not equal" if top is None else
+            "base changes to the chain top are not equal"))
+    if top is None:
+        return DescentCertificate((), (), None, "passthrough: input equality")
     # pair matching components over K first; cross-pair any leftovers in
     # canonical key order
     pairs, left, right = pair_components(pi, pi2)
@@ -737,14 +721,11 @@ def descend_chain(pi: IsobaricRep, pi2: IsobaricRep,
             used.update(ntheory.primefactors(chi.conductor()))
     if plan.lattice is not None:
         used |= plan.lattice.bad_primes()
-    for ch in plan.chains:
-        if ch.tower is not None:
-            used |= Field(ch.tower).bad_primes()
+    used |= Field(top).bad_primes()
+    r = plan.height.r
     # delta needs order p mod ell, so ell = 1 mod p (2 is always used at p = 2)
     fresh = fresh_prime_plan(used, plan.p, r, split_modulus=plan.p)
-    modified = None
-    if top is not None:
-        modified = repr(modify_datum(top.datum, fresh))
+    modified = repr(modify_datum(top.datum, fresh))
     steps = []
     for i, (ell, power) in enumerate(fresh):
         delta = character_of_order(ell, plan.p, pi.field)
@@ -924,16 +905,13 @@ def run_pipeline(K_desc, pi: IsobaricRep, pi2: IsobaricRep, X: int = 10 ** 4,
          {"t": [str(t), str(t2)], "omega_equal": omega == omega2,
           "shifted": t != 0 or t2 != 0})
 
-    p, cls, _D = _field_profile(K)
+    plan = build_L(K, pi.n)
+    p, ht = plan.p, plan.height
     emit("reduce", K.doc, "ok",
-         {"p": p, "class": cls,
+         {"p": p, "class": plan.field_class,
           "mu_p_in_k": True if p == 2 else f"zeta_{p} adjoined"})
-
-    ht = choose_tower_height(pi.n, p)
     emit("height", [pi.n, p], "direct" if ht.direct else f"r={ht.r}",
          {"n": ht.n, "p": ht.p, "r": ht.r, "direct": ht.direct})
-
-    plan = build_L(K, pi.n)
     emit("build", K.doc, plan.kind,
          {"kind": plan.kind, "required_degree": plan.required_degree,
           "chains": [{"label": c.label, "alpha": c.alpha,
@@ -942,15 +920,12 @@ def run_pipeline(K_desc, pi: IsobaricRep, pi2: IsobaricRep, X: int = 10 ** 4,
                       "tower": None if c.tower is None else repr(c.tower)}
                      for c in plan.chains]})
 
-    top = next((c.tower for c in plan.chains if c.tower is not None), None)
-    if top is None:
-        pi_L, pi2_L = pi, pi2
+    pi_L, pi2_L = plan.lift(pi, 60), plan.lift(pi2, 60)
+    if plan.top is None:
         emit("base-change", K.doc, "identity",
              {"note": "direct plan: no chain to climb"})
     else:
-        pi_L = base_change(pi, top, verify_upto=60)
-        pi2_L = base_change(pi2, top, verify_upto=60)
-        emit("base-change", repr(top), "ok",
+        emit("base-change", repr(plan.top), "ok",
              {"pi_L": digest(pi_L.to_json()),
               "pi2_L": digest(pi2_L.to_json())})
 
@@ -977,7 +952,7 @@ def run_pipeline(K_desc, pi: IsobaricRep, pi2: IsobaricRep, X: int = 10 ** 4,
         return report("NOT-HYPOTHESIS" if exp.witness is not None
                       else "INCONCLUSIVE")
 
-    cert = descend_chain(pi, pi2, plan)
+    cert = descend_chain(pi, pi2, plan, pi_L, pi2_L)
     emit("chain-descent", [pi.to_json(), pi2.to_json()],
          "passthrough" if not cert.steps else f"{len(cert.steps)} steps",
          cert)

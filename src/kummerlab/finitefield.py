@@ -162,7 +162,8 @@ def make_ext_field(q: int, d: int) -> "ExtField":
 
 
 class ExtField:
-    """F_{q^d} under the canonical modulus.  Build via make_ext_field."""
+    """F_{q^d} under the canonical modulus.  Build via make_ext_field, which
+    hands out one object per (q, d): fields compare by identity."""
 
     __slots__ = ("q", "d", "modulus", "size", "_nonres", "_red", "_zero", "_one")
 
@@ -207,13 +208,6 @@ class ExtField:
         if p not in self._nonres:
             self._nonres[p] = first_nonresidue(self, p, self.q ** (self.d - 1))
         return self._nonres[p]
-
-    def __eq__(self, other):
-        return (isinstance(other, ExtField)
-                and (self.q, self.d, self.modulus) == (other.q, other.d, other.modulus))
-
-    def __hash__(self):
-        return hash((self.q, self.d, self.modulus))
 
     def __repr__(self):
         return f"ExtField(q={self.q}, d={self.d})"
@@ -282,7 +276,7 @@ class FFElement:
 
     def _coerce(self, other):
         if isinstance(other, FFElement):
-            if other.field != self.field:
+            if other.field is not self.field:
                 raise ValueError("elements of different fields")
             return other
         if isinstance(other, int):
@@ -295,7 +289,7 @@ class FFElement:
     def __eq__(self, other):
         if isinstance(other, int):
             other = self.field.element((other,))
-        return (isinstance(other, FFElement) and self.field == other.field
+        return (isinstance(other, FFElement) and self.field is other.field
                 and self.coeffs == other.coeffs)
 
     def __hash__(self):

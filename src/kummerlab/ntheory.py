@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from fractions import Fraction
 from itertools import compress, count
 
 MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -310,6 +311,19 @@ def factorint(n: int) -> dict[int, int]:
 def primefactors(n: int) -> list[int]:
     """The primes dividing n, ascending; [] for n in (0, 1)."""
     return list(factorint(n)) if n > 1 else []
+
+
+def squarefree_kernel(x) -> int:
+    """Signed squarefree representative of the square class of a rational x."""
+    x = Fraction(x)
+    if x == 0:
+        raise ValueError("zero has no square class")
+    n = x.numerator * x.denominator
+    k = -1 if n < 0 else 1
+    for q, e in factorint(abs(n)).items():
+        if e % 2:
+            k *= q
+    return k
 
 
 def divisors(n: int) -> list[int]:

@@ -456,35 +456,45 @@ def _cyclotomic_places(m: int):
     return profile, frozenset(orders) - {0}
 
 
-def _tower_places(t: KummerTower):
-    """(profile, degrees) for the top level of a tower.
+def _quadratic_D(t: KummerTower) -> int | None:
+    """Squarefree D when the tower is Q(sqrt D): a bare height-1 quadratic
+    step over Q, its datum read as a rational (not a square).  Else None."""
+    if t.pre_steps or t.base_is_step or (t.m, t.p, t.r) != (1, 2, 1):
+        return None
+    v = t.datum.value().as_fraction()
+    D = ntheory.squarefree_kernel(v)
+    if D == 1:
+        raise ValueError(f"trivial quadratic datum {v}: a square in Q")
+    return D
 
-    Three shapes have closed forms: Q(sqrt d) for a rational d; the chain
-    of roots of zeta_{p^2} over Q(zeta_{p^2}), whose top is
-    Q(zeta_{p^(r+3)}); and the 2-power chain of a rational datum over Q(i),
-    read by the integer quartic bookkeeping.  Any other tower traces every
-    base prime, and its degrees are unknown (None).
+
+def _quadratic_places(D: int, bad: set[int]):
+    def profile(q):
+        if q in bad:
+            raise ValueError(f"q={q} meets the tower's ramification")
+        return ((2, 1),) if ntheory.jacobi(D, q) == -1 else ((1, 2),)
+    return profile, frozenset({1, 2})
+
+
+def _tower_places(t: KummerTower):
+    """(profile, degrees) for the top level of a tower other than Q(sqrt D).
+
+    Two shapes have closed forms: the chain of roots of zeta_{p^2} over
+    Q(zeta_{p^2}), whose top is Q(zeta_{p^(r+3)}); and the 2-power chain of
+    a rational datum over Q(i), read by the integer quartic bookkeeping.
+    Any other tower traces every base prime; its degrees are unknown (None).
     """
     d, bare = t.datum, not t.pre_steps
     if (bare and t.base_is_step and t.m == t.p ** 2 and d.rat == 1
             and d.cyc == d.cyc.field.zeta()):
         return _cyclotomic_places(t.p ** (t.r + 3))
-    if bare and not t.base_is_step and t.p == 2 and d.cyc == d.cyc.field.one():
-        if t.m == 1 and t.r == 1:
-            num = d.rat.numerator * d.rat.denominator
-
-            def profile(q):
-                if q == 2 or num % q == 0:
-                    raise ValueError(f"q={q} meets the tower's ramification")
-                inert = ntheory.jacobi(num, q) == -1
-                return ((2, 1),) if inert else ((1, 2),)
-            return profile, frozenset({1, 2})
-        if t.m == 4:
-            def profile(q):
-                mult = 2 if q % 4 == 1 else 1
-                return tuple((f, c * mult) for f, c in
-                             quartic_tower_exponents(d.rat, t.r, q))
-            return profile, None
+    if (bare and not t.base_is_step and t.p == 2 and t.m == 4
+            and d.cyc == d.cyc.field.one()):
+        def profile(q):
+            mult = 2 if q % 4 == 1 else 1
+            return tuple((f, c * mult) for f, c in
+                         quartic_tower_exponents(d.rat, t.r, q))
+        return profile, None
 
     def profile(q):
         agg: dict[int, int] = {}
@@ -502,25 +512,32 @@ class Field:
 
     `profile(q)`: sorted (degree, count) pairs over Q above a prime q off
     `bad_primes()`; `degrees`: the residue degrees the field has, or None
-    when unknown.  The shape is decided once, here; a table then pays only
-    the per-prime step.  `tag` names the field in a report: the conductor,
-    or the tower's repr.
+    when unknown; `D`: squarefree when the field is Q(sqrt D), else None.
+    The shape is decided once, here; a table then pays only the per-prime
+    step.  `tag` names the field in a report: the conductor, or the
+    tower's repr.
     """
 
     desc: object
     tower: KummerTower | None = dfield(init=False, repr=False, compare=False)
+    D: int | None = dfield(init=False, repr=False, compare=False)
     profile: object = dfield(init=False, repr=False, compare=False)
     degrees: frozenset | None = dfield(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if isinstance(self.desc, KummerTower):
-            tower, places = self.desc, _tower_places(self.desc)
+            object.__setattr__(self, "tower", self.desc)
+            D = _quadratic_D(self.desc)
+            places = _tower_places(self.desc) if D is None else \
+                _quadratic_places(D, self.bad_primes())
         elif type(self.desc) is int and self.desc >= 1:
-            tower, places = None, _cyclotomic_places(self.desc)
+            object.__setattr__(self, "tower", None)
+            D = {3: -3, 4: -1, 6: -3}.get(self.desc)
+            places = _cyclotomic_places(self.desc)
         else:
             raise ValueError(f"unsupported field description {self.desc!r}: "
                              "need 1, a conductor m >= 1 or a KummerTower")
-        object.__setattr__(self, "tower", tower)
+        object.__setattr__(self, "D", D)
         object.__setattr__(self, "profile", places[0])
         object.__setattr__(self, "degrees", places[1])
 

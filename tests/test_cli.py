@@ -90,7 +90,8 @@ def test_field_sqrt_shorthand():
 
 
 @pytest.mark.parametrize("text", ["Q(x)", "0", "Q(z0)", "Q(sqrt 1)",
-                                  "Q(sqrt 0)", "F_7"])
+                                  "Q(sqrt 0)", "Q(sqrt 4)", "Q(sqrt 9)",
+                                  "F_7"])
 def test_field_rejects(text):
     with pytest.raises(ValueError):
         parse_field(text)
@@ -474,6 +475,23 @@ def test_bad_grid_exits_64(pairs, capsys):
                    "--X", "5000", "--exclude", "2",
                    "--grid", "0.01,0.05"], capsys)
     assert code == 64
+
+
+def test_square_sqrt_field_exits_64(pairs, capsys):
+    # Q(sqrt 4) is Q, not a quadratic field with two places above each q
+    code, out = run(["rs", "coeffs", "--field", "Q(sqrt 4)",
+                     "--pair", pairs["rational"], "--X", "30", "--M", "12",
+                     "--exclude", "2,3,5"], capsys)
+    assert (code, out) == (64, "")
+
+
+@pytest.mark.parametrize("flag", ["--compare-X", "--final-X"])
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_theorem_a_window_flags_exit_64(pairs, flag, value, capsys):
+    # a window below 1 would drop every row of its stage
+    code, out = run(["theorem-a", "--K", "Q(sqrt3)", "--pair",
+                     pairs["forked"], flag, value], capsys)
+    assert (code, out) == (64, "")
 
 
 def test_malformed_pair_exits_64(tmp_path, capsys):

@@ -162,7 +162,7 @@ def test_build_single_gaussian():
 
 def test_build_forked_frozen():
     plan = build_L(K3, 2)
-    assert plan.kind == "forked" and plan.D == 3
+    assert plan.kind == "forked" and plan.K.D == 3
     assert plan.lattice is not None
     assert [c.label for c in plan.chains] == [1, 2]
     ch1 = plan.chain_for(1)
@@ -532,9 +532,14 @@ def test_experiment_guards():
 # ---------------------------------------------------------------------------
 # chain descent
 
+def _descend(pi, pi2, plan):
+    """`descend_chain` on the pair and its lifts to the plan's chain top."""
+    return descend_chain(pi, pi2, plan, plan.lift(pi, 60), plan.lift(pi2, 60))
+
+
 def test_descend_gaussian_frozen():
     pi = _gauss_pair(character_of_order(5, 4))
-    cert = descend_chain(pi, pi, build_L(QI, 2))
+    cert = _descend(pi, pi, build_L(QI, 2))
     assert cert.conclusion == "equality descends to K"
     assert cert.fresh_primes() == (3, 7)
     assert [s.level for s in cert.steps] == [2, 1]
@@ -547,7 +552,7 @@ def test_descend_gaussian_frozen():
 
 def test_descend_certificate_tamper_detected():
     pi = _gauss_pair(character_of_order(5, 4))
-    cert = descend_chain(pi, pi, build_L(QI, 2))
+    cert = _descend(pi, pi, build_L(QI, 2))
     bent = dataclasses.replace(
         cert, steps=(dataclasses.replace(cert.steps[0], exponents=(1, 0)),
                      cert.steps[1]))
@@ -565,7 +570,7 @@ def test_descend_premise_negative_control():
     pi = _gauss_pair(chi5)
     pi_tw = _gauss_pair(chi5, delta=character_of_order(3, 2))
     with pytest.raises(ValueError, match="chain top are not equal"):
-        descend_chain(pi, pi_tw, build_L(QI, 2))
+        _descend(pi, pi_tw, build_L(QI, 2))
 
 
 def test_descend_cross_paired_leftovers_admit_no_exponent():
@@ -575,25 +580,25 @@ def test_descend_cross_paired_leftovers_admit_no_exponent():
     chi5 = character_of_order(5, 4)
     pi, pi2 = _gauss_pair(chi5), _gauss_pair(chi5, delta=CHI8)
     with pytest.raises(ValueError, match="no twist exponent matches"):
-        descend_chain(pi, pi2, build_L(QI, 2))
+        _descend(pi, pi2, build_L(QI, 2))
 
 
 def test_descend_passthrough_direct():
     chi = character_of_order(7, 2).retag(RS5)
     pi = make_isobaric([(NormCharacter.trivial(RS5), 1), (chi, 1)], field=RS5)
-    cert = descend_chain(pi, pi, build_L(RS5, 2))
+    cert = _descend(pi, pi, build_L(RS5, 2))
     assert cert.steps == () and cert.conclusion == "passthrough: input equality"
     assert cert.check(pi, pi)
     other = make_isobaric([(NormCharacter.trivial(RS5), 2)], field=RS5)
     with pytest.raises(ValueError, match="pair is not equal"):
-        descend_chain(pi, other, build_L(RS5, 2))
+        _descend(pi, other, build_L(RS5, 2))
 
 
 def test_descend_forked_avoids_plan_primes():
     pi = make_isobaric([(NormCharacter.trivial(K3), 1),
                         (character_of_order(7, 3).retag(K3), 1)], field=K3)
     plan = build_L(K3, 2)
-    cert = descend_chain(pi, pi, plan)
+    cert = _descend(pi, pi, plan)
     assert cert.conclusion == "equality descends to the compositum level"
     assert len(cert.steps) == plan.height.r == 2
     fresh = cert.fresh_primes()
@@ -608,7 +613,7 @@ def test_descend_odd_p_picks_fresh_primes_one_mod_p():
     # an order-3 character mod ell needs ell = 1 mod 3: 2 and 5 never qualify
     chi = character_of_order(7, 3).retag(RS3)
     pi = make_isobaric([(NormCharacter.trivial(RS3), 1), (chi, 1)], field=RS3)
-    cert = descend_chain(pi, pi, build_L(RS3, 3))
+    cert = _descend(pi, pi, build_L(RS3, 3))
     assert cert.used == (3, 7)
     assert cert.fresh_primes() == (13, 19)
     assert all(s.exponents == (0, 0) for s in cert.steps)

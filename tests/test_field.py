@@ -16,8 +16,10 @@ import pytest
 from kummerlab import ntheory
 from kummerlab.automorphic import (IsobaricRep, character_of_order,
                                    make_isobaric)
+from kummerlab.cli import parse_alpha
 from kummerlab.cyclotomic import (CycloField, Datum, bad_primes,
                                   cyclo_primes_above, unit_orders)
+from kummerlab.determination import build_L
 from kummerlab.splitting import Field, quartic_tower_exponents, trace_prime
 from kummerlab.tower import KummerTower
 
@@ -155,6 +157,26 @@ def test_field_of_and_equality():
     assert hash(Field(KummerTower(1, 2, 1, Datum.of(3)))) == hash(K)
     assert Field(4) == Field(4) and Field(4) != Field(8) and Field(4) != 4
     assert Field(1) != Field(DESCRIPTIONS["sqrt-5"])
+
+
+def test_quadratic_D():
+    assert [Field(m).D for m in (1, 3, 4, 5, 6, 8)] == [None, -3, -1, None,
+                                                         -3, None]
+    assert Field(KummerTower(1, 2, 1, Datum.of(Fraction(-12, 5)))).D == -15
+    for name in ("quartic3", "zeta9-chain", "traced-pre-step"):
+        assert Field(DESCRIPTIONS[name]).D is None
+    with pytest.raises(ValueError, match="trivial quadratic datum"):
+        Field(KummerTower(1, 2, 1, Datum.of(Fraction(9, 4))))
+
+
+def test_rational_core_over_q_is_quadratic():
+    # the datum 3*z over m = 1 keeps 3 in its cyclotomic core: still Q(sqrt 3)
+    K = Field(KummerTower(1, 2, 1, parse_alpha("3*z", 1)))
+    plain = Field(DESCRIPTIONS["sqrt3"])
+    assert K.D == 3 and K.degrees == {1, 2}
+    for q in ntheory.primerange(5, 2000):
+        assert K.profile(q) == plain.profile(q), q
+    assert build_L(K, 2).kind == "forked"
 
 
 @pytest.mark.parametrize("desc", [0, -4, "Q", "KummerTower(m=1)", 2.0, None])

@@ -13,6 +13,7 @@ from sympy.polys.galoistools import (gf_gcd, gf_mul, gf_pow_mod, gf_rem,
                                      gf_strip, gf_sub)
 
 from kummerlab.finitefield import (
+    ExtField,
     _irreducible_binomials,
     is_pth_power,
     make_ext_field,
@@ -113,6 +114,22 @@ def test_canonical_moduli_small():
     assert make_ext_field(5, 1).modulus == (0, 1)
     # determinism: cached object identity and value equality on rebuild
     assert make_ext_field(3, 2) is make_ext_field(3, 2)
+
+
+def test_elements_mix_only_within_one_field():
+    # fields compare by identity: make_ext_field hands out one per (q, d)
+    F = make_ext_field(7, 2)
+    a, b = F.gen(), make_ext_field(7, 2).element((1, 1))
+    assert a + b == F.element((1, 2)) and b - a == F.one()
+    assert a * b == a * a + a and b == 1 + a
+    rebuilt = ExtField(7, 2, F.modulus)     # F_49 again, outside the cache
+    for other in (make_ext_field(7, 3).gen(), make_ext_field(11, 2).gen(),
+                  rebuilt.gen()):
+        assert a != other
+        for op in (lambda x, y: x + y, lambda x, y: x - y,
+                   lambda x, y: x * y):
+            with pytest.raises(ValueError, match="different fields"):
+                op(a, other)
 
 
 def test_modulus_is_least_in_high_first_order():

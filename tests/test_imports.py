@@ -3,8 +3,10 @@ every module-level private function is referenced somewhere in the package,
 no module runs text as code, multiplicative orders mod m come from one
 table, a character makes a Fraction only when its value is read, sympy
 is loaded only by the algebraic factoring fallback, only
-`splitting.Field` asks whether a field description is a tower, and every
-defaulted parameter of a module-level function is passed by some call."""
+`splitting.Field` asks whether a field description is a tower, every
+defaulted parameter of a module-level function is passed by some call,
+only `build_L` decides a plan's field class and height, and only
+`TowerPlan.lift` base-changes in `determination`."""
 
 import ast
 import os
@@ -395,6 +397,62 @@ def test_every_default_is_passed():
     calls = {str(p): p.read_text() for d in ("src", "tests", "perfbench")
              for p in sorted((SRC.parent.parent / d).rglob("*.py"))}
     assert unpassed_defaults(defs, calls) == []
+
+
+def calls_outside(source: str, names, owner: str | None) -> list[str]:
+    """Calls to a function in `names` anywhere but inside the function at
+    the dotted path `owner` (such as "TowerPlan.lift"); None allows none.
+
+    A call counts by its bare name or attribute, as in `unpassed_defaults`.
+    """
+    allowed = tuple(owner.split(".")) if owner else None
+    out = []
+
+    def visit(node, path):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            path = path + (node.name,)
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else \
+                f.attr if isinstance(f, ast.Attribute) else None
+            if name in names and path[:len(allowed or ())] != allowed:
+                out.append(f"{name} (line {node.lineno})")
+        for child in ast.iter_child_nodes(node):
+            visit(child, path)
+
+    visit(ast.parse(source), ())
+    return out
+
+
+def test_calls_outside_detected():
+    src = ("def build_L(K):\n    return _field_profile(K), ht(2)\n"
+           "def run(K):\n    p = _field_profile(K)\n"
+           "    return mod.choose_tower_height(2, p)\n"
+           "class TowerPlan:\n    def lift(self, rep):\n"
+           "        return base_change(rep, 1)\n"
+           "    def other(self, rep):\n        return base_change(rep, 2)\n"
+           "def descend(pi):\n    return base_change(pi, 3)\n")
+    plan = {"_field_profile", "choose_tower_height"}
+    assert calls_outside(src, plan, "build_L") == [
+        "_field_profile (line 4)", "choose_tower_height (line 5)"]
+    assert calls_outside(src, {"base_change"}, "TowerPlan.lift") == [
+        "base_change (line 10)", "base_change (line 12)"]
+    assert calls_outside(src, {"base_change"}, None) == [
+        "base_change (line 8)", "base_change (line 10)",
+        "base_change (line 12)"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_plan_class_and_height_only_in_build_L(module):
+    owner = "build_L" if module == "determination.py" else None
+    assert calls_outside((SRC / module).read_text(),
+                         {"_field_profile", "choose_tower_height"}, owner) == []
+
+
+def test_determination_base_changes_only_in_lift():
+    assert calls_outside((SRC / "determination.py").read_text(),
+                         {"base_change"}, "TowerPlan.lift") == []
 
 
 NO_SYMPY_RUN = """
