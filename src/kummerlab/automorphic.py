@@ -111,13 +111,6 @@ class NormCharacter:
                              {a % c: e for a, e in self.exps.items()},
                              self.field)
 
-    def lift_to(self, M: int) -> "NormCharacter":
-        if M % self.modulus:
-            raise ValueError("can only lift to a multiple of the modulus")
-        return NormCharacter(M, self.order,
-                             {a: self.exps[a % self.modulus] for a in _units(M)},
-                             self.field)
-
     def key(self):
         """Canonical identity as a Dirichlet character (field-independent)."""
         if self._key is None:
@@ -204,17 +197,6 @@ def character_of_order(N: int, p: int, field=1) -> NormCharacter:
         if chi.order == p:
             return chi
     raise ValueError(f"no character of order {p} mod {N}")
-
-
-# ---------------------------------------------------------------------------
-# places
-
-def place_norms(field_desc, q: int) -> tuple[int, ...]:
-    """Norms of the places above the rational prime q, with multiplicity."""
-    K = Field.of(field_desc)
-    if q in K.bad_primes() or not ntheory.isprime(q):
-        raise ValueError(f"q = {q} is excluded or not prime")
-    return tuple(q ** f for f, count in K.profile(q) for _ in range(count))
 
 
 _H_CACHE: dict = {}

@@ -497,15 +497,18 @@ class Datum:
         return (sylow_valuation(self.rat.numerator, q)
                 - sylow_valuation(self.rat.denominator, q))
 
-    def reading(self, prime: CycloPrime) -> tuple[int, FFElement | None]:
+    def reading(self, prime: CycloPrime) -> tuple[int, FFElement]:
         """v_P(alpha) at a base prime P, and the image of alpha / q^v_P(alpha).
 
         q is unramified in Q(zeta_m), so the rational part and the core's
         denominator count with their q-adic valuations.  The core's integer
         vector c is reduced once: where its image is nonzero, v_P(c) = 0 and
-        the image is read off; where P is the only prime above q dividing c,
-        v_P(c) = v_q(N(c)) / f and the image is None.  With two or more such
-        primes v_P(c) is not readable: ValueError.
+        the image is read off.  Where P is the only prime above q dividing
+        c, w = v_P(c) = v_q(N(c)) / f, and u, the product of the conjugates
+        of c over the other cosets of the decomposition group <q>, is a
+        P-unit with c * u divisible by q^w in Z[zeta_m]; the image of
+        c / q^w is that of c * u / q^w over that of u.  With two or more
+        such primes v_P(c) is not readable: ValueError.
         """
         if prime.m != self.m:
             raise ValueError("conductor mismatch")
@@ -523,16 +526,25 @@ class Datum:
                              "primes above q divide the core")
         # N(c) = N(core) * den^phi(m)
         n_num, n_den, c_den = self._core_ints
-        v_norm = (sylow_valuation(n_num, q) - sylow_valuation(n_den, q)
-                  + self.cyc.field.degree * sylow_valuation(c_den, q))
-        return a - b + v_norm // prime.f, None
+        w = (sylow_valuation(n_num, q) - sylow_valuation(n_den, q)
+             + self.cyc.field.degree * sylow_valuation(c_den, q)) // prime.f
+        F, m = self.cyc.field, self.m
+        c = CycloElement(F, self.cyc.num)
+        decomposition = {pow(q, i, m) for i in range(prime.f)}
+        u, seen = F.one(), set(decomposition)
+        for s in _units(m):
+            if s not in seen:
+                seen |= {s * x % m for x in decomposition}
+                u = u * F.galois(c, s)
+        cu = (c * u).num
+        if any(x % q ** w for x in cu):
+            raise AssertionError(f"q^{w} does not divide c * u at q = {q}")
+        img = prime.reduce_ints([x // q ** w for x in cu], unit % q)
+        return a - b + w, img * prime.reduce_ints(u.num).inverse()
 
     def unit_part_image(self, prime: CycloPrime) -> FFElement:
         """Image of alpha / q^{v_P(alpha)} in the residue field at `prime`."""
-        img = self.reading(prime)[1]
-        if img is None:
-            raise ValueError(f"zero image at q = {prime.q}")
-        return img
+        return self.reading(prime)[1]
 
     def __repr__(self):
         if self.rat == 1:

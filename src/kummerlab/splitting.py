@@ -271,8 +271,6 @@ def _enter(tower: KummerTower, prime: CycloPrime, root: int) -> tuple | None:
                                for d in (tower.datum, *tower.pre_steps)]
     if v % root or any(w % p for w, _ in pre_images):
         return None
-    if image is None or any(c is None for _, c in pre_images):
-        raise ValueError(f"zero image at q = {q}")
     count = 1
     growth: list[RelField] = []
     for _, c in pre_images:
@@ -395,52 +393,6 @@ def degree1_density(step: KummerTower, X: int) -> DensityReport:
     return DensityReport(deg1, total)
 
 
-def quartic_tower_exponents(rat: Fraction, r: int, q: int):
-    """Residue degrees over Q at level r of the tower Q(i, rat^(1/2^r)).
-
-    Pure integer bookkeeping, no residue fields: above Q(i) every level sits
-    in a cyclic residue group of 2-part 2^(s+k) after k inert steps (the
-    base field contains i, so s >= 2 and each doubling adds exactly one to
-    the 2-part).  A branch is tracked as (k, u) with u the 2-valuation of
-    the order of the datum's image: u < s+k splits into two branches at
-    u+1 (u=0 splits into u=0 and u=1), u = s+k goes inert for good.
-    Returns sorted (degree, count) pairs; count is places above q.
-    """
-    rat = Fraction(rat)
-    if q == 2 or rat.numerator % q == 0 or rat.denominator % q == 0:
-        raise ValueError(f"q={q} meets the tower's ramification")
-    f4 = 1 if q % 4 == 1 else 2
-    d = rat.numerator * pow(rat.denominator, -1, q) % q
-    s = sylow_valuation(q ** f4 - 1, 2)
-    # u = v_2(ord d): d^((q-1)/2^t), 2^t || q-1, has order 2^u
-    z = pow(d, (q - 1) >> sylow_valuation(q - 1, 2), q)
-    u = 0
-    while z != 1:
-        z = z * z % q
-        u += 1
-    branches = {(0, u): 1}
-    for _ in range(r):
-        nxt = {}
-
-        def bump(k, u, c):
-            nxt[(k, u)] = nxt.get((k, u), 0) + c
-
-        for (k, u), c in branches.items():
-            if u == 0:
-                bump(k, 0, c)
-                bump(k, 1, c)
-            elif u < s + k:
-                bump(k, u + 1, 2 * c)
-            else:
-                bump(k + 1, u + 1, c)
-        branches = nxt
-    out = {}
-    for (k, _), c in branches.items():
-        f = f4 << k
-        out[f] = out.get(f, 0) + c
-    return tuple(sorted(out.items()))
-
-
 # ---------------------------------------------------------------------------
 # fields and their places
 
@@ -456,45 +408,72 @@ def _cyclotomic_places(m: int):
     return profile, frozenset(orders) - {0}
 
 
-def _quadratic_D(t: KummerTower) -> int | None:
-    """Squarefree D when the tower is Q(sqrt D): a bare height-1 quadratic
-    step over Q, its datum read as a rational (not a square).  Else None."""
-    if t.pre_steps or t.base_is_step or (t.m, t.p, t.r) != (1, 2, 1):
-        return None
-    v = t.datum.value().as_fraction()
-    D = ntheory.squarefree_kernel(v)
-    if D == 1:
-        raise ValueError(f"trivial quadratic datum {v}: a square in Q")
-    return D
+def _rational_places(t: KummerTower, a: Fraction):
+    """The profile of Q(zeta_m)[x]/(x^P - a), P = `root_exponent(r)`, for
+    a bare tower with a rational datum a.
 
+    Fix_f, the number of homomorphisms into F_{q^f}, is phi(m) * g when
+    m | q^f - 1 and a is a g-th power in the cyclic group F_{q^f}^*,
+    g = gcd(P, q^f - 1), and 0 otherwise.  With mu_p in F_{q^f0},
+    f0 = ord(q mod m), every place above q has degree f0 * p^k, and the
+    places of degree f0 * p^k number (Fix_{f0 p^k} - Fix_{f0 p^(k-1)}) /
+    (f0 p^k) (Moebius inversion: Lidl and Niederreiter, Finite Fields,
+    Thm 3.25).  The count is of the algebra, as the trace's is, so an
+    entangled datum such as 3 over Q(zeta_12) needs no premise.  q must
+    not divide m * p * a: checked by division, since factoring a when the
+    field is built would tax every `place_profile` call.
+    """
+    m, p, P = t.m, t.p, t.root_exponent(t.r)
+    orders = unit_orders(m)
+    phi = len(orders) - orders.count(0)
+    num, den = a.numerator, a.denominator
+    bad = m * p * num * den
 
-def _quadratic_places(D: int, bad: set[int]):
     def profile(q):
-        if q in bad:
+        if bad % q == 0:
             raise ValueError(f"q={q} meets the tower's ramification")
-        return ((2, 1),) if ntheory.jacobi(D, q) == -1 else ((1, 2),)
-    return profile, frozenset({1, 2})
+        f0 = orders[q % m]
+        a_q = num * pow(den, -1, q) % q
+        out, fix, f = [], 0, f0
+        while fix < phi * P:
+            if f > f0 * P:
+                raise ValueError(f"mu_p missing from the residue field "
+                                 f"above q = {q}")
+            n = q ** f - 1
+            g = math.gcd(P, n)
+            # a lies in F_q^*, so its exponent reads mod q - 1
+            if phi * g > fix and pow(a_q, n // g % (q - 1), q) == 1:
+                out.append((f, (phi * g - fix) // f))
+                fix = phi * g
+            f *= p
+        return tuple(out)
+    return profile
 
 
 def _tower_places(t: KummerTower):
-    """(profile, degrees) for the top level of a tower other than Q(sqrt D).
+    """(profile, degrees, D) for the top level of a tower.
 
-    Two shapes have closed forms: the chain of roots of zeta_{p^2} over
-    Q(zeta_{p^2}), whose top is Q(zeta_{p^(r+3)}); and the 2-power chain of
-    a rational datum over Q(i), read by the integer quartic bookkeeping.
-    Any other tower traces every base prime; its degrees are unknown (None).
+    A bare tower with a rational datum counts its places
+    (`_rational_places`).  Of those only Q(sqrt D), a height-1 quadratic
+    step over Q, knows its degrees, {1, 2}, and D, the squarefree kernel
+    of the datum (a square datum raises).  The chain of roots of
+    zeta_{p^2} over Q(zeta_{p^2}) has top Q(zeta_{p^(r+3)}).  Any other
+    tower traces every base prime.  degrees is None when unknown, and D
+    when the field is not Q(sqrt D).
     """
-    d, bare = t.datum, not t.pre_steps
+    d, v = t.datum, t.datum.value()
+    bare = not t.pre_steps
+    if bare and v.is_rational():
+        a = v.as_fraction()
+        if t.base_is_step or (t.m, t.p, t.r) != (1, 2, 1):
+            return _rational_places(t, a), None, None
+        D = ntheory.squarefree_kernel(a)
+        if D == 1:
+            raise ValueError(f"trivial quadratic datum {a}: a square in Q")
+        return _rational_places(t, a), frozenset({1, 2}), D
     if (bare and t.base_is_step and t.m == t.p ** 2 and d.rat == 1
             and d.cyc == d.cyc.field.zeta()):
-        return _cyclotomic_places(t.p ** (t.r + 3))
-    if (bare and not t.base_is_step and t.p == 2 and t.m == 4
-            and d.cyc == d.cyc.field.one()):
-        def profile(q):
-            mult = 2 if q % 4 == 1 else 1
-            return tuple((f, c * mult) for f, c in
-                         quartic_tower_exponents(d.rat, t.r, q))
-        return profile, None
+        return *_cyclotomic_places(t.p ** (t.r + 3)), None
 
     def profile(q):
         agg: dict[int, int] = {}
@@ -502,7 +481,7 @@ def _tower_places(t: KummerTower):
             for e, c in trace_prime(t, P).places(t.r):
                 agg[e] = agg.get(e, 0) + c
         return tuple(sorted(agg.items()))
-    return profile, None
+    return profile, None, None
 
 
 @dataclass(frozen=True)
@@ -527,19 +506,17 @@ class Field:
     def __post_init__(self):
         if isinstance(self.desc, KummerTower):
             object.__setattr__(self, "tower", self.desc)
-            D = _quadratic_D(self.desc)
-            places = _tower_places(self.desc) if D is None else \
-                _quadratic_places(D, self.bad_primes())
+            profile, degrees, D = _tower_places(self.desc)
         elif type(self.desc) is int and self.desc >= 1:
             object.__setattr__(self, "tower", None)
             D = {3: -3, 4: -1, 6: -3}.get(self.desc)
-            places = _cyclotomic_places(self.desc)
+            profile, degrees = _cyclotomic_places(self.desc)
         else:
             raise ValueError(f"unsupported field description {self.desc!r}: "
                              "need 1, a conductor m >= 1 or a KummerTower")
         object.__setattr__(self, "D", D)
-        object.__setattr__(self, "profile", places[0])
-        object.__setattr__(self, "degrees", places[1])
+        object.__setattr__(self, "profile", profile)
+        object.__setattr__(self, "degrees", degrees)
 
     @staticmethod
     def of(desc) -> "Field":

@@ -251,12 +251,6 @@ class RamificationProfile:
     wild: bool                  # q = p: tame formula not trusted
     pre_ramified: bool          # q meets a pre-step datum
 
-    def first_ramified_level(self) -> int | None:
-        for j, e in enumerate(self.entries):
-            if e > 1:
-                return j
-        return None
-
 
 def ramification_profile(tower: KummerTower, q: int) -> RamificationProfile:
     if not ntheory.isprime(q):

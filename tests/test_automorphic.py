@@ -21,7 +21,6 @@ from kummerlab.automorphic import (
     make_isobaric,
     norm_equal,
     pair_components,
-    place_norms,
     satake,
     satake_agreement,
     twist_eliminate,
@@ -84,8 +83,15 @@ def test_prime_modulus_quadratic_character_is_legendre(q):
         assert chi.angle(a) == expected
 
 
+def _lift(chi, M):
+    """chi read mod a multiple M of its modulus: an imprimitive character."""
+    return NormCharacter(M, chi.order, {a: chi.exps[a % chi.modulus]
+                                        for a in range(M) if math.gcd(a, M) == 1},
+                         chi.field)
+
+
 def test_conductor_and_primitive():
-    lifted = CHI4.lift_to(12)
+    lifted = _lift(CHI4, 12)
     assert lifted.modulus == 12 and lifted.conductor() == 4
     assert lifted.primitive().key() == CHI4.key()
     chi3 = character_of_order(3, 2)
@@ -212,7 +218,7 @@ def test_int_exponents_match_fraction_tables(N):
         _assert_same(chi.inverse(), _ref_inverse(ref))
         _assert_same(chi.primitive(), _ref_primitive(ref))
         for M in (2 * N, 3 * N):
-            _assert_same(chi.lift_to(M), _ref_lift(ref, M))
+            _assert_same(_lift(chi, M), _ref_lift(ref, M))
         for k in range(-3, 6):
             _assert_same(chi ** k, _ref_pow(ref, k))
         j = (i + 1) % len(chars)
@@ -447,13 +453,3 @@ def test_json_round_trip():
     back = IsobaricRep.from_json(doc)
     assert back == pi
     assert back.to_json() == doc
-
-
-def test_place_norms_descriptors():
-    assert place_norms(1, 7) == (7,)
-    assert place_norms(4, 7) == (49,)
-    assert place_norms(4, 13) == (13, 13)
-    assert place_norms(K3, 11) == (11, 11)
-    assert place_norms(K3, 7) == (49,)
-    with pytest.raises(ValueError, match="excluded"):
-        place_norms(4, 2)

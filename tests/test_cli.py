@@ -237,6 +237,16 @@ def test_split_trace_unit_primes_above_core_support(capsys):
         "DEGREE1", "DEGREEP", "DEGREEP", "RAMIFIED"]
 
 
+@pytest.mark.parametrize("r,alpha", [("1", "3*(z+2)^2"), ("2", "3*(z+2)^4")])
+def test_split_trace_core_power_at_its_prime(r, alpha, capsys):
+    # z + 2 vanishes at one prime above 11, here to the 2^r-th power: the
+    # tower is unramified there, and the datum is 3 times a 2^r-th power
+    tower = ["split", "trace", "--m", "5", "--p", "2", "--r", r, "--q", "11"]
+    code, out = run(tower + ["--alpha", alpha], capsys)
+    assert code == 0
+    assert (code, out) == run(tower + ["--alpha", "3"], capsys)
+
+
 def test_split_density_report(capsys):
     code, out = run(["split", "density", "--m", "4", "--p", "2",
                      "--alpha", "1+z", "--X", "5000"], capsys)

@@ -557,7 +557,8 @@ def test_reading_at_core_support(m, coeffs, rat):
         assert sum(P.f * v for P, v, _ in readings) \
             == _core_norm_valuation(d, q)
         for P, v, img in readings:
-            if img is not None:
+            assert not img.is_zero()
+            if not P.reduce_ints(d.cyc.num).is_zero():
                 assert v == sympy.multiplicity(q, d.rat.numerator) \
                     - sympy.multiplicity(q, d.rat.denominator * d.cyc.den)
 
@@ -572,3 +573,21 @@ def test_reading_refuses_two_primes_dividing_the_core():
              if P.reduce(d.cyc).is_zero())
     with pytest.raises(ValueError, match="2 primes above q divide the core"):
         d.reading(P)
+
+
+def test_reading_at_the_one_prime_dividing_the_core():
+    # c = -3 - 3z + z^2 + z^3 has norm 7^2 in Q(zeta_12): it vanishes at one
+    # of the two primes above 7, both of degree 2, and to the first power
+    F = CycloField(12)
+    c = F.element((-3, -3, 1, 1))
+    hits = 0
+    for P in cyclo_primes_above(12, 7):
+        v, img = Datum(c).reading(P)
+        assert P.f == 2 and not img.is_zero()
+        assert v == P.reduce(c).is_zero()
+        hits += v
+        two = img.field.element(2)
+        assert Datum(c * c).reading(P) == (2 * v, img * img)
+        assert Datum(c * c * c, Fraction(2, 7)).reading(P) \
+            == (3 * v - 1, img * img * img * two)
+    assert hits == 1

@@ -36,8 +36,7 @@ from kummerlab.determination import (
     verify_high_degree_cover,
 )
 from kummerlab.finitefield import sylow_valuation
-from kummerlab.splitting import norm_subgroup, quartic_tower_exponents, \
-    trace_prime
+from kummerlab.splitting import Field, norm_subgroup, trace_prime
 from kummerlab.tower import KummerTower
 
 TRIV = NormCharacter.trivial()
@@ -332,7 +331,12 @@ def test_check_agreement_guards():
 
 
 # ---------------------------------------------------------------------------
-# fast place profiles against residue traces
+# the counted place profiles of the towers Q(i, D^(1/2^r)) against residue
+# traces and the quartic bookkeeping
+
+def _quartic_profile(D, r, q):
+    return Field(KummerTower(4, 2, r, Datum.of(D, m=4))).profile(q)
+
 
 @pytest.mark.parametrize("D,r", [(3, 1), (3, 2), (3, 3), (5, 2), (-2, 2)])
 def test_quartic_exponents_match_trace(D, r):
@@ -340,15 +344,16 @@ def test_quartic_exponents_match_trace(D, r):
     for q in sympy.primerange(3, 40):
         if D % q == 0:
             continue
-        P = cyclo_primes_above(4, q)[0]
-        assert quartic_tower_exponents(D, r, q) == trace_prime(tower, P).places(r)
-        f4 = 1 if q % 4 == 1 else 2
-        assert sum(f * c for f, c in quartic_tower_exponents(D, r, q)) \
-            == f4 * 2 ** r
+        # the primes above q are conjugate and D is rational: equal traces
+        Ps = cyclo_primes_above(4, q)
+        assert _quartic_profile(D, r, q) == tuple(
+            (f, c * len(Ps)) for f, c in trace_prime(tower, Ps[0]).places(r))
+        assert sum(f * c for f, c in _quartic_profile(D, r, q)) == 2 ** (r + 1)
 
 
 def _quartic_by_n_order(rat, r, q):
-    """The quartic bookkeeping with u = v_2(ord d) read from sympy.n_order."""
+    """Places above q of Q(i, rat^(1/2^r)), by the quartic bookkeeping with
+    u = v_2(ord d) read from sympy.n_order."""
     rat = Fraction(rat)
     f4 = 1 if q % 4 == 1 else 2
     d = rat.numerator * pow(rat.denominator, -1, q) % q
@@ -367,8 +372,9 @@ def _quartic_by_n_order(rat, r, q):
                 nxt[key] = nxt.get(key, 0) + n
         branches = nxt
     out = {}
+    primes_above = 2 if q % 4 == 1 else 1
     for (k, _), c in branches.items():
-        out[f4 << k] = out.get(f4 << k, 0) + c
+        out[f4 << k] = out.get(f4 << k, 0) + c * primes_above
     return tuple(sorted(out.items()))
 
 
@@ -376,18 +382,16 @@ def test_quartic_exponents_match_n_order_rule():
     for q in sympy.primerange(3, 600):
         ds = range(1, q) if q < 200 else range(1, 13)
         for d in ds:
-            if d % q:
-                assert quartic_tower_exponents(d, 3, q) \
-                    == _quartic_by_n_order(d, 3, q), (d, q)
-    assert quartic_tower_exponents(Fraction(3, 7), 2, 13) \
+            assert _quartic_profile(d, 3, q) == _quartic_by_n_order(d, 3, q), \
+                (d, q)
+    assert _quartic_profile(Fraction(3, 7), 2, 13) \
         == _quartic_by_n_order(Fraction(3, 7), 2, 13)
 
 
 def test_quartic_exponents_refuse_ramified():
-    with pytest.raises(ValueError, match="ramification"):
-        quartic_tower_exponents(3, 2, 2)
-    with pytest.raises(ValueError, match="ramification"):
-        quartic_tower_exponents(3, 2, 3)
+    for q in (2, 3):
+        with pytest.raises(ValueError, match="ramification"):
+            _quartic_profile(3, 2, q)
 
 
 def _trace_span(tower, N, bound, skip):

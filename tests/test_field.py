@@ -4,7 +4,8 @@ The reference functions below are the earlier implementations, kept
 verbatim (bar their imports) as the oracle: `field_bad_primes`,
 `tower_shape` and `_profiler` from `splitting`, `_realizable_degrees` and
 `_field_doc` from `determination`, the field tag of `IsobaricRep.to_json`
-and the support rule of `base_change`.
+and the support rule of `base_change`.  The one departure: the quartic
+towers over Q(i) are traced, since their closed form is gone.
 """
 
 import itertools
@@ -20,7 +21,7 @@ from kummerlab.cli import parse_alpha
 from kummerlab.cyclotomic import (CycloField, Datum, bad_primes,
                                   cyclo_primes_above, unit_orders)
 from kummerlab.determination import build_L
-from kummerlab.splitting import Field, quartic_tower_exponents, trace_prime
+from kummerlab.splitting import Field, trace_prime
 from kummerlab.tower import KummerTower
 
 
@@ -45,9 +46,7 @@ def tower_shape(t: KummerTower) -> str | None:
         return "zeta-chain" if zeta else None
     if t.p != 2 or d.cyc != d.cyc.field.one():
         return None
-    if t.m == 1 and t.r == 1:
-        return "quadratic"
-    return "quartic" if t.m == 4 else None
+    return "quadratic" if t.m == 1 and t.r == 1 else None
 
 
 def _cyclotomic_profiler(m: int):
@@ -77,11 +76,6 @@ def _profiler(field_desc):
                 raise ValueError(f"q={q} meets the tower's ramification")
             inert = pow(num, (q - 1) // 2, q) == q - 1
             return ((2, 1),) if inert else ((1, 2),)
-    elif shape == "quartic":
-        def profile(q):
-            mult = 2 if q % 4 == 1 else 1
-            return tuple((f, c * mult) for f, c in
-                         quartic_tower_exponents(t.datum.rat, t.r, q))
     else:
         def profile(q):
             agg: dict[int, int] = {}

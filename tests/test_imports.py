@@ -1,6 +1,7 @@
 """Every name a kummerlab module imports is referenced in that module,
 every module-level private function is referenced somewhere in the package,
-no module runs text as code, multiplicative orders mod m come from one
+every public function or method is named in the package or the benchmark
+(bar a list kept on purpose), no module runs text as code, multiplicative orders mod m come from one
 table, a character makes a Fraction only when its value is read, sympy
 is loaded only by the algebraic factoring fallback, only
 `splitting.Field` asks whether a field description is a tower, every
@@ -76,6 +77,15 @@ def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
 
 
+def _names(node):
+    """Every name and attribute under `node`."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+
+
 def unreferenced_private_functions(sources: dict[str, str]) -> list[str]:
     """Module-level `_private` functions no other code in `sources` names.
 
@@ -83,23 +93,15 @@ def unreferenced_private_functions(sources: dict[str, str]) -> list[str]:
     function's own body, so recursion alone does not count.
     """
     trees = {mod: ast.parse(text) for mod, text in sources.items()}
-
-    def names(node):
-        for n in ast.walk(node):
-            if isinstance(n, ast.Name):
-                yield n.id
-            elif isinstance(n, ast.Attribute):
-                yield n.attr
-
-    refs = Counter(name for tree in trees.values() for name in names(tree))
+    refs = Counter(name for tree in trees.values() for name in _names(tree))
     out = []
     for mod, tree in trees.items():
         for node in tree.body:
             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                     and node.name.startswith("_")
                     and not node.name.startswith("__")
-                    and refs[node.name] == sum(1 for n in names(node)
-                                               if n == node.name)):
+                    and refs[node.name] == sum(1 for n in _names(node)
+                                                if n == node.name)):
                 out.append(f"{mod}:{node.name} (line {node.lineno})")
     return sorted(out)
 
@@ -116,6 +118,63 @@ def test_unreferenced_private_functions_detected():
 def test_no_unreferenced_private_functions():
     sources = {m: (SRC / m).read_text() for m in MODULES}
     assert unreferenced_private_functions(sources) == []
+
+
+def unreferenced_public_functions(defs: dict[str, str],
+                                  refs: dict[str, str]) -> list[str]:
+    """Public module-level functions and methods in `defs` that no code in
+    `refs` names outside their own body, as `name` or `Class.name`.
+
+    A reference is a name or attribute, as in
+    `unreferenced_private_functions`, so a shared name hides a function
+    but never flags one falsely.  Dunder methods are called implicitly
+    and are never flagged.
+    """
+    def funcs(body):
+        return [n for n in body
+                if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+    counts = Counter(name for text in refs.values()
+                     for name in _names(ast.parse(text)))
+    out = []
+    for mod, text in defs.items():
+        tree = ast.parse(text)
+        found = [(f, f.name) for f in funcs(tree.body)]
+        found += [(f, f"{c.name}.{f.name}") for c in tree.body
+                  if isinstance(c, ast.ClassDef) for f in funcs(c.body)]
+        for node, label in found:
+            if (not node.name.startswith("_")
+                    and counts[node.name] == sum(1 for n in _names(node)
+                                                  if n == node.name)):
+                out.append(f"{mod}:{label} (line {node.lineno})")
+    return sorted(out)
+
+
+def test_unreferenced_public_functions_detected():
+    defs = {"a.py": "def used():\n    pass\ndef dead():\n    return dead()\n"
+                    "class C:\n    def method(self):\n        pass\n"
+                    "    def spare(self):\n        pass\n"
+                    "    def __eq__(self, other):\n        pass\n"
+                    "def _private():\n    pass\n"}
+    refs = dict(defs, **{"b.py": "used()\nC().method()\n"})
+    assert unreferenced_public_functions(defs, refs) == [
+        "a.py:C.spare (line 8)", "a.py:dead (line 3)"]
+
+
+# kept on purpose: frozen outputs and oracles the tests and criteria read
+PUBLIC_KEPT = {"PrimeTrace.image_keys", "lrs_check", "ExtField.elements",
+               "CoefficientSeries.support", "IsobaricRep.twist",
+               "verify_high_degree_cover", "CoverReport.full",
+               "ramification_profile"}
+
+
+def test_no_unreferenced_public_functions():
+    defs = {m: (SRC / m).read_text() for m in MODULES}
+    refs = {str(p): p.read_text() for d in ("src", "perfbench")
+            for p in sorted((SRC.parent.parent / d).rglob("*.py"))}
+    found = {line.split(":", 1)[1].split(" ")[0]
+             for line in unreferenced_public_functions(defs, refs)}
+    assert found == PUBLIC_KEPT
 
 
 def code_from_text_calls(source: str) -> list[str]:

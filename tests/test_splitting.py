@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from kummerlab import splitting
 from kummerlab.cyclotomic import CycloField, Datum, cyclo_primes_above, pp_lattice
 from kummerlab.splitting import (
     DegreeClass,
@@ -200,8 +201,7 @@ def test_inert_certificate_refuses_ramified_and_matches_trace():
                 prof = ramification_profile(tower, q)
             except ValueError:      # q in the datum's core support
                 continue
-            ramified = (prof.pre_ramified
-                        or prof.first_ramified_level() is not None)
+            ramified = prof.pre_ramified or any(e > 1 for e in prof.entries)
             for P in cyclo_primes_above(tower.m, q):
                 try:
                     cert = inert_chain_certificate(tower, P)
@@ -609,24 +609,51 @@ def test_group_p_valuation_matches_mult_order():
             assert order_p_valuation(x, p) == v
 
 
-@pytest.mark.parametrize("field", [
-    KummerTower(1, 2, 1, Datum.of(3)),
-    KummerTower(1, 2, 1, Datum.of(-5)),
-    KummerTower(4, 2, 2, Datum(CycloField(4).zeta()), base_is_step=True),
-    KummerTower(9, 3, 1, Datum(CycloField(9).zeta()), base_is_step=True),
-    KummerTower(4, 2, 2, Datum.of(3, m=4)),
-    KummerTower(4, 2, 2, Datum.of(-2, m=4)),
-    KummerTower(4, 2, 1, Datum(CycloField(4).element((1, 1)))),
-    KummerTower(4, 2, 2, Datum.of(3, m=4), pre_steps=(Datum.of(5, m=4),)),
-    1, 4, 9,
-], ids=["sqrt3", "sqrt-5", "zeta-p2", "zeta-p3", "quartic3", "quartic-2",
-        "gauss", "pre-step", "Q", "zeta4", "zeta9"])
+def _bare(m, p, r, a, base_is_step=False):
+    return KummerTower(m, p, r, Datum.of(a, m=m), base_is_step=base_is_step)
+
+
+# bare towers with a rational datum: their places are counted, not traced
+COUNTED = {
+    "sqrt3": _bare(1, 2, 1, 3), "sqrt-5": _bare(1, 2, 1, -5),
+    "quartic3": _bare(4, 2, 2, 3), "quartic-2": _bare(4, 2, 2, -2),
+    "2^(1/8)": _bare(1, 2, 3, 2), "3^(1/4)": _bare(1, 2, 1, 3, True),
+    "chain-top": _bare(4, 2, 4, 3), "zeta4-step": _bare(4, 2, 1, -2, True),
+    # sqrt 2 lies in Q(zeta_8), sqrt 3 in Q(zeta_12), sqrt 5 in Q(zeta_5)
+    "zeta8-sqrt2": _bare(8, 2, 2, 2), "zeta8-step": _bare(8, 2, 1, -1, True),
+    "zeta12-sqrt3": _bare(12, 2, 2, 3),
+    "zeta12-step": _bare(12, 2, 1, -3, True),
+    "zeta5": _bare(5, 2, 2, 3), "zeta5-sqrt5": _bare(5, 2, 1, 5),
+    "zeta3-cubic": _bare(3, 3, 2, 2), "zeta9-cubic": _bare(9, 3, 1, 2),
+    "zeta9-step": _bare(9, 3, 1, 5, True),
+    "zeta5-quintic": _bare(5, 5, 1, 2), "zeta5-step": _bare(5, 5, 1, 3, True),
+    "zeta25-quintic": _bare(25, 5, 1, 2),
+}
+TRACED = {
+    "zeta-p2": KummerTower(4, 2, 2, Datum(CycloField(4).zeta()),
+                           base_is_step=True),
+    "zeta-p3": KummerTower(9, 3, 1, Datum(CycloField(9).zeta()),
+                           base_is_step=True),
+    "gauss": KummerTower(4, 2, 1, Datum(CycloField(4).element((1, 1)))),
+    "pre-step": KummerTower(4, 2, 2, Datum.of(3, m=4),
+                            pre_steps=(Datum.of(5, m=4),)),
+    "Q": 1, "zeta4": 4, "zeta9": 9,
+}
+
+
+@pytest.mark.parametrize("field", [*COUNTED.values(), *TRACED.values()],
+                         ids=[*COUNTED, *TRACED])
 def test_place_profile_matches_trace(field):
-    """Closed forms and the place table must agree with the residue trace
-    (with the base primes for a conductor), counts included."""
+    """Closed forms, the count and the place table must agree with the
+    residue trace (with the base primes for a conductor), counts included:
+    a counted tower at every q < 2000 (q < 500 at odd p), the rest at
+    q < 41."""
     bad = Field(field).bad_primes()
+    X = 41
+    if field in COUNTED.values():
+        X = 2000 if field.p == 2 else 500
     expected = []
-    for q in sympy.primerange(2, 41):
+    for q in sympy.primerange(2, X):
         if q in bad:
             continue
         agg = {}
@@ -638,9 +665,50 @@ def test_place_profile_matches_trace(field):
                 for e, c in trace_prime(field, P).places(field.r):
                     agg[e] = agg.get(e, 0) + c
         profile = tuple(sorted(agg.items()))
-        assert place_profile(field, q) == profile
-        expected += [(q, f, c) for f, c in profile]
+        assert place_profile(field, q) == profile, q
+        if q < 41:
+            expected += [(q, f, c) for f, c in profile]
     assert place_table(field, 40) == tuple(expected)
+
+
+def test_counted_profiles_trace_nothing(monkeypatch):
+    def traced(*args):
+        raise AssertionError("a bare rational tower was traced")
+    monkeypatch.setattr(splitting, "trace_prime", traced)
+    for t in COUNTED.values():
+        K = Field(t)
+        assert all(K.profile(q) for q in sympy.primerange(2, 200)
+                   if q not in K.bad_primes())
+
+
+def test_counted_profile_refuses_bad_primes():
+    # the count would answer at a prime of the datum, wrongly: it refuses
+    towers = (*COUNTED.values(), _bare(5, 2, 1, Fraction(14, 3)),
+              _bare(3, 3, 1, 10), _bare(1, 2, 1, Fraction(-11, 7), True))
+    for t in towers:
+        K = Field(t)
+        for q in K.bad_primes():
+            with pytest.raises(ValueError, match="ramification"):
+                K.profile(q)
+    # with mu_3 missing from F_5 the count refuses as the trace does
+    t = _bare(1, 3, 1, 2)
+    with pytest.raises(ValueError, match="mu_p missing"):
+        Field(t).profile(5)
+    with pytest.raises(ValueError, match="mu_p missing"):
+        trace_prime(t, cyclo_primes_above(1, 5)[0])
+
+
+def test_core_power_at_a_degree_2_prime_traces_as_its_cofactor():
+    # c = -3 - 3z + z^2 + z^3 vanishes at one of the two primes above 7 in
+    # Q(zeta_12), both of degree 2; a * c^(p^r) traces as a does
+    c = CycloField(12).element((-3, -3, 1, 1))
+    for p, a in ((2, 3), (3, 2)):
+        for r in (1, 2):
+            t = KummerTower(12, p, r, Datum(c ** p ** r * a))
+            t0 = _bare(12, p, r, a)
+            for P in cyclo_primes_above(12, 7):
+                assert trace_prime(t, P).places(r) \
+                    == trace_prime(t0, P).places(r)
 
 
 @pytest.mark.parametrize("field", [4, 9, 12, 15, 64])

@@ -130,11 +130,10 @@ def test_ramification_profile_frozen():
     tower = KummerTower(1, 2, 2, modify_datum(Datum.of(2), [(3, 2), (5, 4)]))
     p3 = ramification_profile(tower, 3)
     assert p3.entries == (1, 1, 2) and p3.t == 2 and not p3.wild
-    assert p3.first_ramified_level() == 2
     p2 = ramification_profile(tower, 2)
     assert p2.entries == (1, 2, 4) and p2.wild
     assert ramification_profile(tower, 5).entries == (1, 1, 1)
-    assert ramification_profile(tower, 7).first_ramified_level() is None
+    assert ramification_profile(tower, 7).entries == (1, 1, 1)
 
 
 def test_ramification_entries_grow_by_p_steps():
