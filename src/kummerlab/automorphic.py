@@ -137,8 +137,6 @@ class NormCharacter:
         return NormCharacter(self.modulus, self.order,
                              {a: -e for a, e in self.exps.items()}, self.field)
 
-    conjugate = inverse          # finite order: conjugate = inverse
-
     def __pow__(self, k: int) -> "NormCharacter":
         return NormCharacter(self.modulus, self.order,
                              {a: k * e for a, e in self.exps.items()},
@@ -241,14 +239,6 @@ class IsobaricRep:
     def is_unitary(self) -> bool:
         return self.t == 0
 
-    def conjugate(self) -> "IsobaricRep":
-        return make_isobaric([(chi.inverse(), m) for chi, m in
-                              self.components], -self.t, self.field)
-
-    def twist(self, chi: NormCharacter) -> "IsobaricRep":
-        return make_isobaric([(c * chi.retag(self.field), m)
-                              for c, m in self.components], self.t, self.field)
-
     def __eq__(self, other):
         if not (isinstance(other, IsobaricRep) and self.field == other.field
                 and self.t == other.t
@@ -338,15 +328,6 @@ class SatakeClass:
     @property
     def n(self) -> int:
         return len(self.eigenvalues)
-
-    def trace(self) -> complex:
-        return sum(self.norm ** float(tp) *
-                   complex(math.cos(2 * math.pi * a), math.sin(2 * math.pi * a))
-                   for a, tp in self.eigenvalues)
-
-    def conjugate(self) -> "SatakeClass":
-        return SatakeClass(self.norm, tuple(sorted(
-            ((-a) % 1, tp) for a, tp in self.eigenvalues)))
 
     def power(self, r: int) -> "SatakeClass":
         """Eigenvalue-wise r-th power (the class at a degree-r extension)."""
@@ -439,21 +420,6 @@ def central_char_and_t(pi: IsobaricRep):
     for chi, m in pi.components:
         omega = omega * chi ** m
     return omega, pi.t
-
-
-def lrs_check(A: SatakeClass, n: int, q_v: int) -> bool:
-    """Strict bound |alpha| < q_v^(1/2 - 1/(n^2+1)), decided exactly.
-
-    |alpha| = q_v^tpow for our classes, so the comparison is between
-    rational exponents.  n = 1 makes the bound vacuous-false for unitary
-    characters; the ambient degree must be >= 2.
-    """
-    if n < 2:
-        raise ValueError("the bound needs the ambient degree n >= 2")
-    if q_v < 2:
-        raise ValueError("q_v must be a prime power > 1")
-    cap = Fraction(1, 2) - Fraction(1, n * n + 1)
-    return all(tp < cap for _, tp in A.eigenvalues)
 
 
 def twist_eliminate(eta: NormCharacter, eta2: NormCharacter,

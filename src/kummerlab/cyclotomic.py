@@ -419,14 +419,6 @@ class CycloPrime:
     def norm(self) -> int:
         return self.q ** self.f
 
-    def reduce(self, x: CycloElement) -> FFElement:
-        """Image of x in the residue field; error if q divides a denominator."""
-        if x.field.m != self.m:
-            raise ValueError("conductor mismatch")
-        if x.den % self.q == 0:
-            raise ValueError(f"denominator divisible by q = {self.q}")
-        return self.reduce_ints(x.num, pow(x.den, -1, self.q))
-
     def reduce_ints(self, num, scale: int = 1) -> FFElement:
         """Image of scale times the integer vector num over the power basis."""
         q = self.q
@@ -473,6 +465,15 @@ class Datum:
     def is_zero(self):
         return self.rat == 0 or self.cyc.is_zero()
 
+    def is_signed_root_of_unity(self, p: int) -> bool:
+        """Is alpha = +-zeta for a p-th root of unity zeta != 1, p odd?
+
+        Then alpha^(1/p) generates mu_{p^2} over Q(zeta_p), since -1 is a
+        p-th power.
+        """
+        v, one = self.value(), self.cyc.field.one()
+        return p != 2 and any(w != one and w ** p == one for w in (v, -v))
+
     def scale(self, r) -> "Datum":
         return Datum(self.cyc, self.rat * Fraction(r))
 
@@ -485,17 +486,6 @@ class Datum:
     def core_support(self) -> set[int]:
         """Primes where valuations cannot be read off the rational part."""
         return {ell for v in self._core_ints for ell in ntheory.primefactors(abs(v))}
-
-    def v_q(self, q: int) -> int:
-        """q-adic valuation, defined only away from the core support.
-
-        q must be prime: the core-support test is divisibility of the norm's
-        numerator or denominator, or of the core's denominator, by q.
-        """
-        if any(v and v % q == 0 for v in self._core_ints):
-            raise ValueError(f"valuation at q = {q} not readable from the rational part")
-        return (sylow_valuation(self.rat.numerator, q)
-                - sylow_valuation(self.rat.denominator, q))
 
     def reading(self, prime: CycloPrime) -> tuple[int, FFElement]:
         """v_P(alpha) at a base prime P, and the image of alpha / q^v_P(alpha).
@@ -699,12 +689,16 @@ class PPSubfieldLattice:
         if K_datum.m != 1 or F_datum.m != 1:
             raise ValueError("lattice data must be rational (over Q)")
         mixed = Datum(K_datum.cyc * F_datum.cyc, K_datum.rat * F_datum.rat)
+        # each datum's rational value, read once: Frobenius reads them at
+        # every prime
+        self.rational = {d: d.value().as_fraction()
+                         for d in (K_datum, F_datum, mixed)}
         for d in (K_datum, F_datum):
             if d.is_zero():
                 raise ValueError("zero datum")
-            if _fraction_is_pth_power(d.value().as_fraction(), 2):
+            if _fraction_is_pth_power(self.rational[d], 2):
                 raise ValueError(f"datum {d!r} is a 2-th power")
-        if _fraction_is_pth_power(mixed.value().as_fraction(), 2):
+        if _fraction_is_pth_power(self.rational[mixed], 2):
             raise ValueError(f"K and F coincide: datum {mixed!r} is a 2-th power")
         self.K_datum = K_datum
         self.F_datum = F_datum
@@ -714,10 +708,11 @@ class PPSubfieldLattice:
         self._bad = frozenset(bad_primes(1, 2, (K_datum, F_datum)))
 
     def kummer_exponent(self, d: Datum, q: int) -> int:
-        """The Legendre symbol (d/q) in additive form: 0 iff d is a square mod q."""
+        """The Legendre symbol (d/q) in additive form, for d one of the
+        three subfield data: 0 iff d is a square mod q."""
         if not ntheory.isprime(q):
             raise ValueError(f"q = {q} is not prime")
-        r = d.value().as_fraction()
+        r = self.rational[d]
         if q == 2 or (s := ntheory.jacobi(r.numerator * r.denominator, q)) == 0:
             raise ValueError(f"q = {q} is wild or ramified for {d!r}")
         return 0 if s == 1 else 1

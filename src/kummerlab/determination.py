@@ -15,11 +15,12 @@ Two honest limitations are surfaced rather than papered over.  For p = 2 a
 quadratic step above a field containing i can never stay inert at primes
 whose Frobenius acts like complex conjugation, so the root-of-unity chain
 over Q(i) (and the mirrored fork over an imaginary quadratic base) covers
-only part of the inert primes; the cover report lists exactly which
-residue classes fail.  Over a real quadratic field the forked cover is
-complete: one fork is certified prime by prime by residue traces, the
-other by a sum-of-two-squares (Hilbert symbol) window certificate that
-licenses the cyclic continuation above the compositum.
+only part of the inert primes; the cover check in
+`tests/test_determination.py` lists exactly which residue classes fail.
+Over a real quadratic field the forked cover is complete: one fork is
+certified prime by prime by residue traces, the other by a sum-of-two-
+squares (Hilbert symbol) window certificate that licenses the cyclic
+continuation above the compositum.
 """
 
 from __future__ import annotations
@@ -46,19 +47,11 @@ from .cyclotomic import (
     CycloField,
     Datum,
     PPSubfieldLattice,
-    cyclo_primes_above,
     pp_lattice,
     unit_orders,
 )
 from .lseries import PrimeSelector, pole_book, slope_experiment, tail_threshold
-from .splitting import (
-    Field,
-    inert_chain_certificate,
-    inert_prime_subfield,
-    inert_splits_in_top,
-    place_table,
-    trace_prime,
-)
+from .splitting import Field, inert_splits_in_top, place_table
 from .tower import (
     KummerTower,
     NestednessCertificate,
@@ -73,7 +66,6 @@ __all__ = [
     "WindowCertificate", "quadratic_window_certificate",
     "cyclotomic_window_certificate",
     "ChainPlan", "TowerPlan", "build_L",
-    "CoverEntry", "CoverReport", "verify_high_degree_cover",
     "AgreementRow", "AgreementHypothesis", "check_agreement",
     "DeterminationReport", "determination_experiment",
     "DescentStep", "DescentCertificate", "descend_chain",
@@ -270,12 +262,6 @@ class TowerPlan:
         top = self.top
         return rep if top is None else base_change(rep, top, verify_upto)
 
-    def chain_for(self, label: int) -> ChainPlan | None:
-        for ch in self.chains:
-            if ch.label == label:
-                return ch
-        return None
-
 
 def _field_profile(K: Field):
     """(p, class) for the supported base fields.
@@ -296,11 +282,8 @@ def _field_profile(K: Field):
     if t.m == 1:    # p = 2 over Q is quadratic
         raise ValueError("unsupported base field class: odd-degree step "
                          "over Q lacks the needed roots of unity")
-    one = t.datum.cyc.field.one()
-    if t.m == t.p and t.datum.rat in (Fraction(1), Fraction(-1)):
-        z = t.datum.cyc
-        if z != one and z ** t.p == one:
-            return t.p, "root-step"
+    if t.m == t.p and t.datum.is_signed_root_of_unity(t.p):
+        return t.p, "root-step"
     if t.m % t.p == 0:
         return t.p, "kummer-step"
     raise ValueError(f"unsupported base field class: {K.doc}")
@@ -360,122 +343,6 @@ def build_L(K_desc, n: int) -> TowerPlan:
         chains.append(ChainPlan(tag.label, kernel, tag.datum, chosen,
                                 candidates, window, None, None))
     return TowerPlan("forked", K, p, n, ht, cls, lattice, tuple(chains))
-
-
-# ---------------------------------------------------------------------------
-# high-degree cover verification
-
-@dataclass(frozen=True)
-class CoverEntry:
-    q: int
-    label: int
-    route: str            # "direct" | "trace" | "window"
-    covered: bool
-    degree_bound: int
-    detail: str
-
-
-@dataclass(frozen=True)
-class CoverReport:
-    kind: str
-    X: int
-    required_degree: int
-    inert_count: int
-    certified: int
-    entries: tuple[CoverEntry, ...]
-
-    @property
-    def full(self) -> bool:
-        return self.certified == self.inert_count
-
-    def failures(self) -> tuple[CoverEntry, ...]:
-        return tuple(e for e in self.entries if not e.covered)
-
-
-def _inert_rational_primes(plan: TowerPlan, X: int) -> list[int]:
-    """Rational primes q <= X whose places of k are inert in K.
-
-    For K = Q(sqrt D) these are the degree-2 rows of K's place table.  The
-    primes that table leaves out -- 2 and the divisors of D -- ramify
-    somewhere in the construction and stay excluded, matching the
-    unramified-only scope of every claim here.
-    """
-    if plan.K.D is not None:
-        base = KummerTower(1, 2, 1, Datum.of(plan.K.D))
-        return [q for q, f, _ in place_table(base, X) if f == 2]
-    if plan.kind == "direct":
-        return []
-    p = plan.p       # odd root-step: k = Q(zeta_p), K = k(mu_{p^2})
-    big, small = unit_orders(p * p), unit_orders(p)
-    return [q for q in ntheory.primerange(2, X + 1)
-            if q != p and big[q % (p * p)] == p * small[q % p]]
-
-
-def verify_high_degree_cover(plan: TowerPlan, X: int) -> CoverReport:
-    """Certify, prime by prime, that inert places force deep chain places.
-
-    Unramified places that are *not* inert in K already lie over degree-1
-    places of the ground field, so only the inert list matters.  Forked
-    plans route each prime through its classifier fork; nothing is
-    assumed, and a corrupted plan fails loudly here.
-    """
-    if X < 2:
-        raise ValueError("X must be >= 2")
-    need = plan.required_degree
-    entries = []
-    if plan.kind == "direct":
-        for q in _inert_rational_primes(plan, X):
-            entries.append(CoverEntry(q, 0, "direct", True, plan.p,
-                                      "inert place of K is already deep"))
-    elif plan.kind == "single":
-        chain = plan.chains[0].tower
-        for q in _inert_rational_primes(plan, X):
-            P = cyclo_primes_above(chain.m, q)[0]
-            f_min = min(e for e, _ in trace_prime(chain, P).places(chain.r))
-            ok = f_min >= need
-            entries.append(CoverEntry(
-                q, 0, "trace", ok, f_min,
-                "all top places deep" if ok else
-                f"top degree {f_min} < {need}: Frobenius acts like "
-                f"complex conjugation"))
-    else:
-        for q in _inert_rational_primes(plan, X):
-            try:
-                clf = inert_prime_subfield(plan.lattice, q)
-            except (ValueError, AssertionError) as e:
-                entries.append(CoverEntry(q, -1, "window", False, 0,
-                                          f"classification failed: {e}"))
-                continue
-            ch = plan.chain_for(clf.label)
-            if ch is None or ch.subfield_datum != clf.datum:
-                entries.append(CoverEntry(
-                    q, clf.label, "window", False, 0,
-                    "label mismatch: plan fork does not serve the "
-                    "subfield where q splits"))
-                continue
-            if ch.tower is not None:
-                try:
-                    cert = inert_chain_certificate(ch.tower, q)
-                except ValueError as e:
-                    entries.append(CoverEntry(q, clf.label, "trace", False,
-                                              0, str(e)))
-                    continue
-                f_top = cert.prime.f * ch.tower.root_exponent(ch.tower.r)
-                entries.append(CoverEntry(
-                    q, clf.label, "trace", f_top >= need, f_top,
-                    "inert chain certificate"))
-            else:
-                ok = ch.window.cyclic
-                bound = plan.p ** (plan.height.r + 1) if ok else 0
-                entries.append(CoverEntry(
-                    q, clf.label, "window", ok, bound,
-                    "split in the fork subfield, inert into the compositum,"
-                    " cyclic window continues the chain" if ok else
-                    "no cyclic window above this fork: " +
-                    "; ".join(ch.window.notes)))
-    certified = sum(1 for e in entries if e.covered)
-    return CoverReport(plan.kind, X, need, len(entries), certified,
-                       tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -763,6 +630,18 @@ class FinalDescentReport:
     note: str
 
 
+def _inert_rational_primes(plan: TowerPlan, X: int) -> list[int]:
+    """Rational primes q <= X inert in K = Q(sqrt D), D = `plan.K.D`.
+
+    These are the degree-2 rows of K's place table.  The primes that table
+    leaves out -- 2 and the divisors of D -- ramify somewhere in the
+    construction and stay excluded, matching the unramified-only scope of
+    every claim here.
+    """
+    base = KummerTower(1, 2, 1, Datum.of(plan.K.D))
+    return [q for q, f, _ in place_table(base, X) if f == 2]
+
+
 def final_descent(plan: TowerPlan, pi: IsobaricRep, pi2: IsobaricRep,
                   hypothesis: AgreementHypothesis, X: int
                   ) -> FinalDescentReport:
@@ -882,6 +761,8 @@ def run_pipeline(K_desc, pi: IsobaricRep, pi2: IsobaricRep, X: int = 10 ** 4,
     K = Field.of(K_desc)
     if pi.field != K or pi2.field != K:
         raise ValueError("the pair must be tagged with the given field")
+    if slope_cutoff is not None and slope_cutoff < 2:
+        raise ValueError("slope cutoff must be >= 2")
     compare_X = min(X, 3000) if compare_X is None else compare_X
     final_X = min(X, 2000) if final_X is None else final_X
     stages = []

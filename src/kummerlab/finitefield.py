@@ -189,15 +189,8 @@ class ExtField:
     def one(self):
         return self._one
 
-    def gen(self):
-        """Class of t (for d = 1 this is 0, the root of the modulus t)."""
-        return self.element((0, 1))
-
     def from_index(self, n: int) -> "FFElement":
         return FFElement(self, tuple(n // self.q ** i % self.q for i in range(self.d)))
-
-    def elements(self):
-        return map(self.from_index, range(self.size))
 
     def nonresidue(self, p: int) -> "FFElement":
         """The first non-p-th power from t^(d-1) on (`first_nonresidue`).

@@ -123,9 +123,6 @@ class CoefficientSeries:
             out[m] = z.real if self.kind == "Z" else z
         return out
 
-    def support(self):
-        return sorted(self.coeffs)
-
 
 def _unitary_pair(pi: IsobaricRep, pi2: IsobaricRep):
     if pi.t != 0 or pi2.t != 0:
@@ -321,8 +318,10 @@ def slope_experiment(pi: IsobaricRep, pi2: IsobaricRep,
     The mean Z coefficient over the top decade of the cutoff estimates the
     prime density of the series; its tail integral is E1(eps log X) exactly.
     """
-    if any(e <= 0 for e in grid) or list(grid) != sorted(grid, reverse=True):
-        raise ValueError("grid must decrease strictly toward 0")
+    if (len(grid) < 2 or not grid[-1] > 0
+            or not all(a > b for a, b in zip(grid, grid[1:]))):
+        raise ValueError("grid must have two or more points and decrease "
+                         "strictly toward 0")
     X = selector.cutoff
     series = rs_coeffs(pi, pi2, selector, X, "Z")
     fl = series.floats()

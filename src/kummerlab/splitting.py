@@ -225,12 +225,6 @@ class PrimeTrace:
             out.extend([self.prime.q ** e] * c)
         return tuple(out)
 
-    def image_keys(self, level: int) -> tuple:
-        # a level can mix residue-field (int) and RelField (tuple) keys
-        return tuple(sorted((b.image.key() for b in self.branches[level]
-                             if b.image is not None),
-                            key=lambda k: (isinstance(k, tuple), k)))
-
 
 def _rich_enough(field_size: int, p: int) -> bool:
     # inert persistence: for p = 2 the group needs a mu_4 above the step
@@ -646,9 +640,11 @@ def inert_chain_certificate(tower: KummerTower, at) -> InertChainCertificate:
 def fold_degree_multisets(A, B):
     """Residue degrees of a compositum place set from two unramified sets.
 
-    Entries are (degree, count); F_{q^a} (x) F_{q^b} is gcd(a, b) copies of
-    F_{q^lcm(a, b)}.
+    Entries are (degree, count), each at least 1; F_{q^a} (x) F_{q^b} is
+    gcd(a, b) copies of F_{q^lcm(a, b)}.
     """
+    if any(x < 1 for entry in (*A, *B) for x in entry):
+        raise ValueError("degrees and counts must be >= 1")
     agg: dict[int, int] = {}
     for a, ca in A:
         for b, cb in B:
@@ -744,7 +740,7 @@ def inert_splits_in_top(lattice: PPSubfieldLattice, q: int) -> TopSplitCertifica
         raise ValueError(f"q = {q} is not inert in K")
     # over F_{q^2} the group's 2-part strictly grows, so the F-datum image
     # (order unchanged under embedding) must become a square
-    a = lattice.F_datum.value().as_fraction()
+    a = lattice.rational[lattice.F_datum]
     imgF = make_ext_field(q, 1).element(a.numerator * pow(a.denominator, -1, q))
     vF = order_p_valuation(imgF, 2)
     sF = sylow_valuation(q - 1, 2)

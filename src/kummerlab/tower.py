@@ -16,7 +16,6 @@ or an exact factorisation, with InconclusiveError when neither lands.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -31,9 +30,8 @@ from .cyclotomic import (
 )
 
 __all__ = [
-    "KummerTower", "ChainLevel", "NestednessCertificate", "RamificationProfile",
-    "build_nested_chain", "verify_nested", "modify_datum",
-    "ramification_profile", "fresh_prime_plan",
+    "KummerTower", "ChainLevel", "NestednessCertificate",
+    "build_nested_chain", "verify_nested", "modify_datum", "fresh_prime_plan",
 ]
 
 
@@ -91,24 +89,12 @@ def build_nested_chain(tower: KummerTower) -> tuple[ChainLevel, ...]:
 
 def _pre_step_gives_mu(d: Datum, p: int) -> bool:
     """Does adjoining d^(1/p) supply mu_{p^2} over the base?"""
-    val = d.value()
     if p == 2:
         # need sqrt(-1): value = -(square) up to rational squares
+        val = d.value()
         return (val.is_rational()
                 and _fraction_is_pth_power(-val.as_fraction(), 2))
-    # p odd: need zeta_{p^2} = (primitive p-th root)^{1/p}
-    f = d.cyc.field
-    if d.rat not in (Fraction(1), Fraction(-1)):
-        return False
-    if f.m % p != 0:
-        return False
-    z_p = f.zeta_power(f.m // p)
-    probe = val
-    for _ in range(1, p):
-        probe = probe * z_p
-        if probe == f.one():
-            return True
-    return False
+    return d.is_signed_root_of_unity(p)
 
 
 def _mu_p2_source(tower: KummerTower) -> str:
@@ -239,32 +225,3 @@ def fresh_prime_plan(used: set[int], p: int, r: int,
         taken.add(ell)
         plan.append((ell, p ** i))
     return tuple(plan)
-
-
-@dataclass(frozen=True)
-class RamificationProfile:
-    """Tame ramification of q along the chain, read from the datum valuation."""
-
-    q: int
-    t: int                      # v_q(datum)
-    entries: tuple[int, ...]    # e at levels 0..r
-    wild: bool                  # q = p: tame formula not trusted
-    pre_ramified: bool          # q meets a pre-step datum
-
-
-def ramification_profile(tower: KummerTower, q: int) -> RamificationProfile:
-    if not ntheory.isprime(q):
-        raise ValueError(f"q = {q} is not prime")
-    t = tower.datum.v_q(q)  # raises on core-support primes
-    entries = tuple(
-        tower.root_exponent(j) // math.gcd(tower.root_exponent(j), abs(t))
-        for j in range(tower.r + 1))
-    pre_hit = False
-    for d in tower.pre_steps:
-        if q in d.core_support():
-            pre_hit = True
-            continue
-        if d.v_q(q) % tower.p != 0:
-            pre_hit = True
-    return RamificationProfile(q=q, t=t, entries=entries,
-                               wild=(q == tower.p), pre_ramified=pre_hit)

@@ -313,6 +313,17 @@ def test_tower_verify_report(capsys):
     assert all(line["witness_q"] is not None for line in doc["lines"])
 
 
+@pytest.mark.parametrize("pre", ["-z", "-z^2"])
+def test_tower_verify_negated_root_pre_step(pre, capsys):
+    # -1 is a cube, so Q(zeta_3)((-zeta_3)^(1/3)) is Q(zeta_9), as for z
+    code, out = run(["tower", "verify", "--m", "3", "--p", "3", "--r", "2",
+                     "--alpha", "2", f"--pre={pre}"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["mu_source"] == "pre-step"
+    assert doc["chain_degrees"] == [3, 9, 27]
+
+
 # ---------------------------------------------------------------------------
 # series commands
 
@@ -472,12 +483,34 @@ def test_negative_data_space_form(argv, flag, value, capsys):
     ["split", "density", "--m", "1", "--p", "3", "--alpha", "2",
      "--X", "200"],
     ["descent", "plan", "--p", "4", "--r", "2"],
+    ["rs", "slope", "--pair", "{equal}", "--exclude", "5", "--X", "1000",
+     "--grid", ","],
+    ["rs", "slope", "--pair", "{equal}", "--exclude", "5", "--X", "1000",
+     "--grid", "0.1"],
+    ["rs", "slope", "--pair", "{equal}", "--exclude", "5", "--X", "1000",
+     "--grid", "0.1,0.1"],
+    ["theorem-a", "--K", "Q(i)", "--pair", "{twisted}", "--slope-cutoff", "0"],
+    ["theorem-a", "--K", "Q(i)", "--pair", "{twisted}", "--slope-cutoff", "1"],
+    ["theorem-a", "--K", "Q(i)", "--pair", "{twisted}", "--slope-cutoff=-5"],
+    ["theorem-a", "--K", "Q(i)", "--pair", "{equal}", "--slope-cutoff", "1"],
+    ["lemma", "45", "--m", "4", "--p", "2", "--r", "2", "--alpha", "1+z",
+     "--q", "3", "--other", "0:1"],
+    ["lemma", "45", "--m", "4", "--p", "2", "--r", "2", "--alpha", "1+z",
+     "--q", "3", "--other=-2:3"],
+    ["lemma", "45", "--m", "4", "--p", "2", "--r", "2", "--alpha", "1+z",
+     "--q", "3", "--other", "2:0"],
 ], ids=["unknown", "bare-group", "missing-alpha", "zero-n", "zero-threads",
         "csv-no-rows", "bad-field", "missing-pair", "classify-height",
-        "density-no-mu-p", "plan-composite-p"])
-def test_invalid_parameters_exit_64(argv, capsys):
-    code, _ = run(argv, capsys)
-    assert code == 64
+        "density-no-mu-p", "plan-composite-p", "grid-empty", "grid-one-point",
+        "grid-tie", "slope-cutoff-0", "slope-cutoff-1", "slope-cutoff-neg",
+        "slope-cutoff-equal-pair", "other-degree-0", "other-degree-neg",
+        "other-count-0"])
+def test_invalid_parameters_exit_64(argv, pairs, capsys):
+    # a slope grid needs two strictly decreasing points, a slope cutoff is
+    # refused below 2 whatever the pair, and folded degrees and counts
+    # start at 1; each is refused before anything is printed
+    code, out = run([a.format(**pairs) for a in argv], capsys)
+    assert (code, out) == (64, "")
 
 
 def test_bad_grid_exits_64(pairs, capsys):

@@ -17,7 +17,8 @@ from kummerlab.automorphic import (
     make_isobaric,
     satake,
 )
-from kummerlab.cyclotomic import CycloField, Datum, cyclo_primes_above
+from kummerlab.cyclotomic import (CycloField, Datum, cyclo_primes_above,
+                                  unit_orders)
 from kummerlab.determination import (
     EXIT_CODES,
     _inert_rational_primes,
@@ -33,10 +34,15 @@ from kummerlab.determination import (
     hilbert_symbol,
     quadratic_window_certificate,
     run_pipeline,
-    verify_high_degree_cover,
 )
 from kummerlab.finitefield import sylow_valuation
-from kummerlab.splitting import Field, norm_subgroup, trace_prime
+from kummerlab.splitting import (
+    Field,
+    inert_chain_certificate,
+    inert_prime_subfield,
+    norm_subgroup,
+    trace_prime,
+)
 from kummerlab.tower import KummerTower
 
 TRIV = NormCharacter.trivial()
@@ -164,12 +170,12 @@ def test_build_forked_frozen():
     assert plan.kind == "forked" and plan.K.D == 3
     assert plan.lattice is not None
     assert [c.label for c in plan.chains] == [1, 2]
-    ch1 = plan.chain_for(1)
+    ch1 = plan.chains[0]
     assert ch1.subfield_kernel == -1
     assert ch1.alpha == 3 and ch1.candidates == (3,)
     assert ch1.tower.r == plan.height.r + 1 == 3
     assert ch1.nestedness is not None
-    ch2 = plan.chain_for(2)
+    ch2 = plan.chains[1]
     assert ch2.subfield_kernel == -3
     assert ch2.tower is None and ch2.nestedness is None
     assert ch2.candidates == (3, -1) and ch2.alpha == 3
@@ -178,7 +184,7 @@ def test_build_forked_frozen():
 
 def test_build_forked_candidate_selection():
     plan = build_L(K5, 2)
-    ch2 = plan.chain_for(2)
+    ch2 = plan.chains[1]
     assert ch2.subfield_kernel == -5
     assert ch2.candidates == (5, -1) and ch2.alpha == 5
     assert ch2.window.cyclic and ch2.window.obstructions == ()
@@ -217,10 +223,99 @@ def test_build_rejects_unsupported_bases():
 
 
 # ---------------------------------------------------------------------------
-# high-degree cover
+# high-degree cover: every inert place of K lands in a deep place of the
+# plan's chains.  The pipeline relies on this argument without running it;
+# here it is checked prime by prime on the plans build_L makes.
+
+@dataclasses.dataclass(frozen=True)
+class _CoverEntry:
+    q: int
+    label: int
+    route: str            # "direct" | "trace" | "window"
+    covered: bool
+    degree_bound: int
+    detail: str
+
+
+@dataclasses.dataclass(frozen=True)
+class _CoverReport:
+    kind: str
+    required_degree: int
+    entries: tuple
+
+    @property
+    def inert_count(self):
+        return len(self.entries)
+
+    @property
+    def certified(self):
+        return sum(e.covered for e in self.entries)
+
+    @property
+    def full(self):
+        return self.certified == self.inert_count
+
+    def failures(self):
+        return tuple(e for e in self.entries if not e.covered)
+
+
+def _inert_primes(plan, X):
+    """Rational primes q <= X whose places of k are inert in K."""
+    if plan.K.D is not None:
+        return _inert_rational_primes(plan, X)
+    if plan.kind == "direct":
+        return []
+    p = plan.p       # odd root-step: k = Q(zeta_p), K = k(mu_{p^2})
+    big, small = unit_orders(p * p), unit_orders(p)
+    return [q for q in sympy.primerange(2, X + 1)
+            if q != p and big[q % (p * p)] == p * small[q % p]]
+
+
+def _cover_entry(plan, q):
+    """How the plan certifies that the inert places above q are deep."""
+    need = plan.required_degree
+    if plan.kind == "direct":
+        return _CoverEntry(q, 0, "direct", True, plan.p,
+                           "inert place of K is already deep")
+    if plan.kind == "single":
+        chain = plan.chains[0].tower
+        P = cyclo_primes_above(chain.m, q)[0]
+        f_min = min(e for e, _ in trace_prime(chain, P).places(chain.r))
+        return _CoverEntry(q, 0, "trace", f_min >= need, f_min,
+                           "all top places deep" if f_min >= need else
+                           f"top degree {f_min} < {need}: Frobenius acts "
+                           f"like complex conjugation")
+    clf = inert_prime_subfield(plan.lattice, q)
+    ch = next((c for c in plan.chains if c.label == clf.label), None)
+    if ch is None or ch.subfield_datum != clf.datum:
+        return _CoverEntry(q, clf.label, "window", False, 0,
+                           "label mismatch: plan fork does not serve the "
+                           "subfield where q splits")
+    if ch.tower is not None:
+        cert = inert_chain_certificate(ch.tower, q)
+        f_top = cert.prime.f * ch.tower.root_exponent(ch.tower.r)
+        return _CoverEntry(q, clf.label, "trace", f_top >= need, f_top,
+                           "inert chain certificate")
+    if not ch.window.cyclic:
+        return _CoverEntry(q, clf.label, "window", False, 0,
+                           "no cyclic window above this fork: " +
+                           "; ".join(ch.window.notes))
+    return _CoverEntry(q, clf.label, "window", True,
+                       plan.p ** (plan.height.r + 1),
+                       "split in the fork subfield, inert into the "
+                       "compositum, cyclic window continues the chain")
+
+
+def _verify_high_degree_cover(plan, X):
+    """One entry per inert prime q <= X.  Places not inert in K lie over
+    degree-1 places of the ground field, so only the inert list matters."""
+    return _CoverReport(plan.kind, plan.required_degree,
+                        tuple(_cover_entry(plan, q)
+                              for q in _inert_primes(plan, X)))
+
 
 def test_cover_forked_sqrt3_full():
-    cov = verify_high_degree_cover(build_L(K3, 2), 1000)
+    cov = _verify_high_degree_cover(build_L(K3, 2), 1000)
     assert (cov.inert_count, cov.certified) == (88, 88)
     assert cov.full and cov.failures() == ()
     by_label = {}
@@ -231,15 +326,8 @@ def test_cover_forked_sqrt3_full():
     assert by_label == {1: 44, 2: 44}
 
 
-def test_cover_vacuous_and_guard():
-    cov = verify_high_degree_cover(build_L(K3, 2), 4)
-    assert cov.inert_count == 0 and cov.full and cov.entries == ()
-    with pytest.raises(ValueError, match="X must be"):
-        verify_high_degree_cover(build_L(K3, 2), 1)
-
-
 def test_cover_single_gaussian_is_partial():
-    cov = verify_high_degree_cover(build_L(QI, 2), 100)
+    cov = _verify_high_degree_cover(build_L(QI, 2), 100)
     assert (cov.inert_count, cov.certified) == (13, 7)
     assert not cov.full
     assert [e.q for e in cov.failures()] == [7, 23, 31, 47, 71, 79]
@@ -257,7 +345,7 @@ def test_cover_corrupted_plan_fails_loudly():
     swapped = dataclasses.replace(
         plan, chains=(dataclasses.replace(ch1, label=2),
                       dataclasses.replace(ch2, label=1)))
-    cov = verify_high_degree_cover(swapped, 100)
+    cov = _verify_high_degree_cover(swapped, 100)
     assert cov.inert_count == 12 and cov.certified == 0
     assert all("label mismatch" in e.detail for e in cov.entries)
 
@@ -267,7 +355,7 @@ def test_root_step_inert_primes_match_n_order_rule(p):
     K = KummerTower(p, p, 1, Datum(CycloField(p).zeta()))
     plan = build_L(K, 3 if p == 5 else 4)
     assert plan.kind == "single"
-    assert _inert_rational_primes(plan, 2000) == [
+    assert _inert_primes(plan, 2000) == [
         q for q in sympy.primerange(2, 2001)
         if q != p and sympy.n_order(q, p * p) == p * sympy.n_order(q, p)]
 
@@ -282,11 +370,11 @@ def test_quadratic_inert_primes_match_legendre(K, D):
 
 
 def test_cover_direct_routes():
-    cov = verify_high_degree_cover(build_L(K3, 1), 50)
+    cov = _verify_high_degree_cover(build_L(K3, 1), 50)
     assert cov.kind == "direct" and cov.full
     assert [e.q for e in cov.entries] == [5, 7, 17, 19, 29, 31, 41, 43]
     assert all(e.route == "direct" for e in cov.entries)
-    assert verify_high_degree_cover(build_L(RS5, 2), 50).full
+    assert _verify_high_degree_cover(build_L(RS5, 2), 50).full
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +392,8 @@ def test_check_agreement_equal_pair():
 
 def test_check_agreement_witness_and_stop():
     pi = make_isobaric([(TRIV, 1), (CHI4, 1)])
-    pi2 = pi.twist(character_of_order(3, 2))
+    chi3 = character_of_order(3, 2)
+    pi2 = make_isobaric([(c * chi3, m) for c, m in pi.components])
     hyp = check_agreement(pi, pi2, 100)
     assert not hyp.holds() and hyp.witness() == 5
     assert (3, "ramified") in hyp.exceptions
@@ -645,7 +734,8 @@ def test_final_descent_forked_equal():
 def test_final_descent_forked_witness():
     pi = make_isobaric([(NormCharacter.trivial(K3), 1),
                         (character_of_order(7, 3).retag(K3), 1)], field=K3)
-    pi2 = pi.twist(character_of_order(5, 2).retag(K3))
+    chi5 = character_of_order(5, 2).retag(K3)
+    pi2 = make_isobaric([(c * chi5, m) for c, m in pi.components], field=K3)
     plan = build_L(K3, 2)
     hyp = check_agreement(pi, pi2, 300)
     fd = final_descent(plan, pi, pi2, hyp, 300)

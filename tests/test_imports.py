@@ -1,9 +1,10 @@
 """Every name a kummerlab module imports is referenced in that module,
 every module-level private function is referenced somewhere in the package,
-every public function or method is named in the package or the benchmark
-(bar a list kept on purpose), no module runs text as code, multiplicative orders mod m come from one
-table, a character makes a Fraction only when its value is read, sympy
-is loaded only by the algebraic factoring fallback, only
+every public function is named, and every public method read as an
+attribute, in the package or the benchmark, no module runs text as code,
+multiplicative orders mod m come from one table, a character makes a
+Fraction only when its value is read, sympy is loaded only by the
+algebraic factoring fallback, only
 `splitting.Field` asks whether a field description is a tower, every
 defaulted parameter of a module-level function is passed by some call,
 only `build_L` decides a plan's field class and height, and only
@@ -123,28 +124,34 @@ def test_no_unreferenced_private_functions():
 def unreferenced_public_functions(defs: dict[str, str],
                                   refs: dict[str, str]) -> list[str]:
     """Public module-level functions and methods in `defs` that no code in
-    `refs` names outside their own body, as `name` or `Class.name`.
+    `refs` names outside their own body.
 
-    A reference is a name or attribute, as in
-    `unreferenced_private_functions`, so a shared name hides a function
-    but never flags one falsely.  Dunder methods are called implicitly
-    and are never flagged.
+    A module-level function is referenced by a name or an attribute, as
+    in `unreferenced_private_functions`; a method only by an attribute
+    read (`.name`), so a module-level function of the same name does not
+    hide it.  A method is still hidden when another class has a method or
+    attribute of the same name.  Dunder methods are called implicitly and
+    are never flagged.
     """
     def funcs(body):
         return [n for n in body
                 if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
 
-    counts = Counter(name for text in refs.values()
-                     for name in _names(ast.parse(text)))
+    def attrs(node):
+        return (n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
+
+    trees = [ast.parse(text) for text in refs.values()]
+    names = Counter(name for tree in trees for name in _names(tree))
+    reads = Counter(name for tree in trees for name in attrs(tree))
     out = []
     for mod, text in defs.items():
         tree = ast.parse(text)
-        found = [(f, f.name) for f in funcs(tree.body)]
-        found += [(f, f"{c.name}.{f.name}") for c in tree.body
+        found = [(f, f.name, _names, names) for f in funcs(tree.body)]
+        found += [(f, f"{c.name}.{f.name}", attrs, reads) for c in tree.body
                   if isinstance(c, ast.ClassDef) for f in funcs(c.body)]
-        for node, label in found:
+        for node, label, refs_in, counts in found:
             if (not node.name.startswith("_")
-                    and counts[node.name] == sum(1 for n in _names(node)
+                    and counts[node.name] == sum(1 for n in refs_in(node)
                                                   if n == node.name)):
                 out.append(f"{mod}:{label} (line {node.lineno})")
     return sorted(out)
@@ -155,26 +162,19 @@ def test_unreferenced_public_functions_detected():
                     "class C:\n    def method(self):\n        pass\n"
                     "    def spare(self):\n        pass\n"
                     "    def __eq__(self, other):\n        pass\n"
+                    "    def used(self):\n        pass\n"
                     "def _private():\n    pass\n"}
     refs = dict(defs, **{"b.py": "used()\nC().method()\n"})
     assert unreferenced_public_functions(defs, refs) == [
-        "a.py:C.spare (line 8)", "a.py:dead (line 3)"]
-
-
-# kept on purpose: frozen outputs and oracles the tests and criteria read
-PUBLIC_KEPT = {"PrimeTrace.image_keys", "lrs_check", "ExtField.elements",
-               "CoefficientSeries.support", "IsobaricRep.twist",
-               "verify_high_degree_cover", "CoverReport.full",
-               "ramification_profile"}
+        "a.py:C.spare (line 8)", "a.py:C.used (line 12)",
+        "a.py:dead (line 3)"]
 
 
 def test_no_unreferenced_public_functions():
     defs = {m: (SRC / m).read_text() for m in MODULES}
     refs = {str(p): p.read_text() for d in ("src", "perfbench")
             for p in sorted((SRC.parent.parent / d).rglob("*.py"))}
-    found = {line.split(":", 1)[1].split(" ")[0]
-             for line in unreferenced_public_functions(defs, refs)}
-    assert found == PUBLIC_KEPT
+    assert unreferenced_public_functions(defs, refs) == []
 
 
 def code_from_text_calls(source: str) -> list[str]:
