@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from . import ntheory
 from .cyclotomic import _unit_logs, _units, unit_group_structure
-from .splitting import Field, norm_subgroup, place_table
+from .splitting import Field, norm_subgroup
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +396,9 @@ def base_change(pi: IsobaricRep, M, verify_upto: int = 100) -> IsobaricRep:
     out = make_isobaric([(chi, m) for chi, m in pi.components], pi.t, M)
     bad = F.bad_primes() | ramified_primes(pi)
     below: dict[int, list[int]] = {}
-    for q, f, _ in place_table(F, verify_upto):
+    for q, f, _ in F.places(verify_upto):
         below.setdefault(q, []).append(f)
-    for q, fw, _ in place_table(M, verify_upto):
+    for q, fw, _ in M.places(verify_upto):
         if q in bad:
             continue
         Nw = q ** fw

@@ -558,6 +558,12 @@ def bad_primes(m: int, p: int, data) -> set[int]:
     return bad
 
 
+def bad_product(m: int, p: int, data) -> int:
+    """A multiple of exactly `bad_primes(m, p, data)`: no factoring needed."""
+    return m * p * math.prod(d.rat.numerator * d.rat.denominator
+                             * math.prod(d._core_ints) for d in data)
+
+
 def _fraction_is_pth_power(r: Fraction, p: int) -> bool:
     if r == 0:
         return True

@@ -51,7 +51,7 @@ from .cyclotomic import (
     unit_orders,
 )
 from .lseries import PrimeSelector, pole_book, slope_experiment, tail_threshold
-from .splitting import Field, inert_splits_in_top, place_table
+from .splitting import Field, inert_splits_in_top
 from .tower import (
     KummerTower,
     NestednessCertificate,
@@ -404,9 +404,8 @@ def check_agreement(pi: IsobaricRep, pi2: IsobaricRep, X: int,
                        if q <= X and ntheory.isprime(q))
     agree = satake_agreement(pi, pi2)
     rows = tuple(AgreementRow(q, q ** f, f, agree(q ** f))
-                 for q, f, _ in place_table(field, X)
-                 if f in degrees and q ** f <= X
-                 and q not in bad and q not in ram)
+                 for q, f, _ in field.places(X)
+                 if f in degrees and q ** f <= X and q not in ram)
     return AgreementHypothesis(field.doc, X, degrees, rows, exceptions)
 
 
@@ -638,8 +637,8 @@ def _inert_rational_primes(plan: TowerPlan, X: int) -> list[int]:
     construction and stay excluded, matching the unramified-only scope of
     every claim here.
     """
-    base = KummerTower(1, 2, 1, Datum.of(plan.K.D))
-    return [q for q, f, _ in place_table(base, X) if f == 2]
+    base = Field(KummerTower(1, 2, 1, Datum.of(plan.K.D)))
+    return [q for q, f, _ in base.places(X) if f == 2]
 
 
 def final_descent(plan: TowerPlan, pi: IsobaricRep, pi2: IsobaricRep,

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .automorphic import IsobaricRep, moduli_lcm, pair_components, ramified_primes
 from .cyclotomic import CycloField, _unit_logs
-from .splitting import place_table
+from .splitting import Field
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -75,7 +75,7 @@ def to_complex(elem) -> complex:
 class PrimeSelector:
     """Finite, reproducible set of unramified places with Nv <= cutoff.
 
-    Places are the rows of the field's `splitting.place_table` cut at the
+    Places are the rows of the field's `splitting.Field.places` cut at the
     cutoff.  Degrees are residue degrees over the rationals; the exception
     list removes whole rational primes on top of the always-excluded bad set.
     """
@@ -94,7 +94,7 @@ class PrimeSelector:
     def places(self) -> list:
         """(Nv, q, f) sorted by (Nv, q); one entry per place."""
         out = []
-        for q, f, count in place_table(self.field_desc, self.cutoff):
+        for q, f, count in Field.of(self.field_desc).places(self.cutoff):
             Nv = q ** f
             if (Nv > self.cutoff or q in self.exclude
                     or (self.degrees is not None and f not in self.degrees)):

@@ -26,6 +26,7 @@ from .cyclotomic import (
     Datum,
     PPSubfieldLattice,
     bad_primes,
+    bad_product,
     cyclo_primes_above,
     unit_orders,
 )
@@ -219,12 +220,6 @@ class PrimeTrace:
             agg[b.exp] = agg.get(b.exp, 0) + b.count
         return tuple(sorted(agg.items()))
 
-    def norms(self, level: int) -> tuple[int, ...]:
-        out = []
-        for e, c in self.places(level):
-            out.extend([self.prime.q ** e] * c)
-        return tuple(out)
-
 
 def _rich_enough(field_size: int, p: int) -> bool:
     # inert persistence: for p = 2 the group needs a mu_4 above the step
@@ -316,26 +311,6 @@ def classify_rational(step: KummerTower, q: int):
                  for P in cyclo_primes_above(step.m, q))
 
 
-def _int_phi_roots(m: int, q: int) -> list[int]:
-    """Roots of Phi_m mod q as ints, for q = 1 mod m (split case), sorted."""
-    if m == 1:
-        return [1]
-    for y in range(2, q):
-        z = pow(y, (q - 1) // m, q)
-        if all(pow(z, m // ell, q) != 1 for ell in ntheory.primefactors(m)):
-            return sorted(pow(z, a, q) for a in range(1, m)
-                          if math.gcd(a, m) == 1)
-    raise AssertionError("no element of full order found")
-
-
-def _int_image(datum: Datum, q: int, zbar: int) -> int:
-    cyc, rat = datum.cyc, datum.rat
-    acc = 0
-    for c in reversed(cyc.num):
-        acc = (acc * zbar + c) % q
-    return acc * rat.numerator * pow(cyc.den * rat.denominator, -1, q) % q
-
-
 @dataclass(frozen=True)
 class DensityReport:
     degree1: int
@@ -349,41 +324,26 @@ class DensityReport:
 def degree1_density(step: KummerTower, X: int) -> DensityReport:
     """Count unramified degree-1 places vs all unramified places, norm <= X.
 
-    Degree-1 means residue degree 1 over the rationals: the base prime has
-    f = 1 and the step splits.  Finitely many primes (q = p, conductor and
-    datum support: `bad_primes`) are excluded.  The step needs mu_p in its
-    base: p = 2 or p | m.
+    Degree 1 is over the rationals.  The places are those of `Field(step)`
+    above each prime q off its `bad_primes()` with q^f0 <= X, f0 the degree
+    of q in Q(zeta_m).  The step needs mu_p in its base: p = 2 or p | m.
+    A square datum over Q gives no quadratic step: building `Field` raises.
     """
     p, m = step.p, step.m
-    if step.pre_steps:
-        raise ValueError("density is for bare steps")
     if p != 2 and m % p:
         raise ValueError(f"mu_{p} not contained in Q(zeta_{m})")
-    skip = bad_primes(m, p, (step.datum,))
+    K = Field(step)
+    skip, profile = K.bad_primes(), K.profile
     orders = unit_orders(m)
     deg1 = total = 0
     for q in ntheory.primerange(2, X + 1):
-        if q in skip:
+        if q in skip or q ** orders[q % m] > X:
             continue
-        f = orders[q % m]
-        if q ** f > X:
-            continue
-        if f == 1:
-            for zbar in _int_phi_roots(m, q):
-                img = _int_image(step.datum, q, zbar)
-                if pow(img, (q - 1) // p, q) == 1:
-                    if q <= X:
-                        deg1 += p
-                        total += p
-                elif q ** p <= X:
-                    total += 1
-        else:
-            for P in cyclo_primes_above(m, q):
-                cls = classify_prime(step, P)
-                if cls is DegreeClass.DEGREE1 and q ** f <= X:
-                    total += p
-                elif cls is DegreeClass.DEGREEP and q ** (f * p) <= X:
-                    total += 1
+        for f, c in profile(q):
+            if q ** f <= X:
+                total += c
+                if f == 1:
+                    deg1 += c
     return DensityReport(deg1, total)
 
 
@@ -402,80 +362,121 @@ def _cyclotomic_places(m: int):
     return profile, frozenset(orders) - {0}
 
 
-def _rational_places(t: KummerTower, a: Fraction):
-    """The profile of Q(zeta_m)[x]/(x^P - a), P = `root_exponent(r)`, for
-    a bare tower with a rational datum a.
+def _int_phi_roots(m: int, q: int, ells) -> list[int]:
+    """Roots of Phi_m mod a split q as ints; m > 2 has the primes `ells`."""
+    for y in range(2, q):
+        z = pow(y, (q - 1) // m, q)
+        if all(pow(z, m // ell, q) != 1 for ell in ells):
+            return [pow(z, a, q) for a in range(1, m) if math.gcd(a, m) == 1]
+    raise AssertionError("no element of full order found")
 
-    Fix_f, the number of homomorphisms into F_{q^f}, is phi(m) * g when
-    m | q^f - 1 and a is a g-th power in the cyclic group F_{q^f}^*,
-    g = gcd(P, q^f - 1), and 0 otherwise.  With mu_p in F_{q^f0},
-    f0 = ord(q mod m), every place above q has degree f0 * p^k, and the
-    places of degree f0 * p^k number (Fix_{f0 p^k} - Fix_{f0 p^(k-1)}) /
-    (f0 p^k) (Moebius inversion: Lidl and Niederreiter, Finite Fields,
-    Thm 3.25).  The count is of the algebra, as the trace's is, so an
-    entangled datum such as 3 over Q(zeta_12) needs no premise.  q must
-    not divide m * p * a: checked by division, since factoring a when the
-    field is built would tax every `place_profile` call.
+
+def _int_image(datum: Datum, q: int, zbar: int) -> int:
+    cyc, rat = datum.cyc, datum.rat
+    acc = 0
+    for c in reversed(cyc.num):
+        acc = (acc * zbar + c) % q
+    return acc * rat.numerator * pow(cyc.den * rat.denominator, -1, q) % q
+
+
+def _counted_places(t: KummerTower):
+    """The profile of the top level of t: the algebra over Q(zeta_m) of
+    x^P = a, P = `root_exponent(r)`, and y_i^p = b_i, a the datum and the
+    b_i its k pre-steps.  Above a prime of residue field F_Q, Q = q^f0,
+    holding mu_p, its homomorphisms into F_{Q^(p^j)} number R_j = g * p^k,
+    g = gcd(P, Q^(p^j) - 1), when a is a g-th power there and the b_i p-th
+    powers, else 0; it has (R_j - R_(j-1)) / p^j places of degree f0 p^j
+    (Lidl and Niederreiter, Finite Fields, Thm 3.25), and all split from
+    p^j >= P (>= p with pre-steps) on.  Like the trace it counts the
+    algebra, so entangled data (3 over Q(zeta_12)) need no premise.
+    Rational data read ints mod q, alike above q; other data read ints at
+    the roots of Phi_m mod a split q, else `Datum.unit_part_image`.  A bad
+    q is refused by division (`bad_product`): nothing is factored.
     """
     m, p, P = t.m, t.p, t.root_exponent(t.r)
+    datum, pre = t.datum, t.pre_steps
     orders = unit_orders(m)
     phi = len(orders) - orders.count(0)
-    num, den = a.numerator, a.denominator
-    bad = m * p * num * den
+    spread = p ** len(pre)
+    top, last = P * spread, max(P, p if pre else 1)
+    bad = bad_product(m, p, (datum, *pre))
 
-    def profile(q):
+    def enter(q):
         if bad % q == 0:
             raise ValueError(f"q={q} meets the tower's ramification")
         f0 = orders[q % m]
-        a_q = num * pow(den, -1, q) % q
-        out, fix, f = [], 0, f0
-        while fix < phi * P:
-            if f > f0 * P:
-                raise ValueError(f"mu_p missing from the residue field "
-                                 f"above q = {q}")
-            n = q ** f - 1
-            g = math.gcd(P, n)
-            # a lies in F_q^*, so its exponent reads mod q - 1
-            if phi * g > fix and pow(a_q, n // g % (q - 1), q) == 1:
-                out.append((f, (phi * g - fix) // f))
-                fix = phi * g
-            f *= p
-        return tuple(out)
+        if top > 1 and p != 2 and (q ** f0 - 1) % p:    # odd q hold mu_2
+            raise ValueError(f"mu_p missing from the residue field "
+                             f"above q = {q}")
+        return f0
+
+    def count(out, weight, f0, Q, a, bs, mod):
+        # `weight` primes of residue field F_Q; ints mod q or elements (mod None)
+        order, one = (mod - 1, 1) if mod else (Q - 1, a.field.one())
+        fix, e = 0, 1
+        while fix < top:
+            new = top
+            if e < last:
+                n = Q ** e - 1
+                g = math.gcd(P, n)
+                new = 0
+                if g * spread > fix and pow(a, n // g % order, mod) == one:
+                    new = g * spread
+                    if bs and any(pow(b, n // p % order, mod) != one
+                                  for b in bs):
+                        new = 0
+            if new > fix:
+                out.append((f0 * e, weight * (new - fix) // e))
+                fix = new
+            e *= p
+        return out
+
+    values = [d.value() for d in (datum, *pre)]
+    if all(v.is_rational() for v in values):
+        (n0, d0), *fracs = [(v.num[0], v.den) for v in values]
+
+        def profile(q):
+            f0 = enter(q)
+            a = n0 * pow(d0, -1, q) % q if d0 > 1 else n0 % q
+            bs = [n * pow(d, -1, q) % q for n, d in fracs] if pre else ()
+            return tuple(count([], phi // f0, f0, q ** f0, a, bs, q))
+        return profile
+
+    ells = ntheory.primefactors(m)
+
+    def profile(q):
+        f0, out, places = enter(q), [], {}
+        if f0 == 1:
+            for z in _int_phi_roots(m, q, ells):
+                count(out, 1, 1, q, _int_image(datum, q, z),
+                      [_int_image(b, q, z) for b in pre] if pre else (), q)
+        else:
+            for B in cyclo_primes_above(m, q):
+                count(out, 1, f0, q ** f0, datum.unit_part_image(B),
+                      [b.unit_part_image(B) for b in pre] if pre else (), None)
+        for f, c in out:
+            places[f] = places.get(f, 0) + c
+        return tuple(sorted(places.items()))
     return profile
 
 
 def _tower_places(t: KummerTower):
-    """(profile, degrees, D) for the top level of a tower.
-
-    A bare tower with a rational datum counts its places
-    (`_rational_places`).  Of those only Q(sqrt D), a height-1 quadratic
-    step over Q, knows its degrees, {1, 2}, and D, the squarefree kernel
-    of the datum (a square datum raises).  The chain of roots of
-    zeta_{p^2} over Q(zeta_{p^2}) has top Q(zeta_{p^(r+3)}).  Any other
-    tower traces every base prime.  degrees is None when unknown, and D
-    when the field is not Q(sqrt D).
-    """
-    d, v = t.datum, t.datum.value()
-    bare = not t.pre_steps
-    if bare and v.is_rational():
-        a = v.as_fraction()
-        if t.base_is_step or (t.m, t.p, t.r) != (1, 2, 1):
-            return _rational_places(t, a), None, None
-        D = ntheory.squarefree_kernel(a)
-        if D == 1:
-            raise ValueError(f"trivial quadratic datum {a}: a square in Q")
-        return _rational_places(t, a), frozenset({1, 2}), D
+    """(profile, degrees, D) for the top level of a tower: counted
+    (`_counted_places`), but for the chain of roots of zeta_{p^2} over
+    Q(zeta_{p^2}), whose top is Q(zeta_{p^(r+3)}).  Only Q(sqrt D), a bare
+    height-1 quadratic step over Q, knows its degrees, {1, 2}, and D, the
+    squarefree kernel of the datum (a square datum raises); else None."""
+    d, bare = t.datum, not t.pre_steps
     if (bare and t.base_is_step and t.m == t.p ** 2 and d.rat == 1
             and d.cyc == d.cyc.field.zeta()):
         return *_cyclotomic_places(t.p ** (t.r + 3)), None
-
-    def profile(q):
-        agg: dict[int, int] = {}
-        for P in cyclo_primes_above(t.m, q):
-            for e, c in trace_prime(t, P).places(t.r):
-                agg[e] = agg.get(e, 0) + c
-        return tuple(sorted(agg.items()))
-    return profile, None, None
+    if bare and not t.base_is_step and (t.m, t.p, t.r) == (1, 2, 1):
+        a = d.value().as_fraction()
+        D = ntheory.squarefree_kernel(a)
+        if D == 1:
+            raise ValueError(f"trivial quadratic datum {a}: a square in Q")
+        return _counted_places(t), frozenset({1, 2}), D
+    return _counted_places(t), None, None
 
 
 @dataclass(frozen=True)
@@ -484,11 +485,12 @@ class Field:
     `KummerTower` (its top level).  The only code that reads which.
 
     `profile(q)`: sorted (degree, count) pairs over Q above a prime q off
-    `bad_primes()`; `degrees`: the residue degrees the field has, or None
-    when unknown; `D`: squarefree when the field is Q(sqrt D), else None.
-    The shape is decided once, here; a table then pays only the per-prime
-    step.  `tag` names the field in a report: the conductor, or the
-    tower's repr.
+    `bad_primes()`, from `unit_orders` or, for a tower, one count and no
+    trace (`_tower_places`); `degrees`: the residue degrees the field has,
+    or None when unknown; `D`: squarefree when the field is Q(sqrt D), else
+    None.  The shape is decided once, here; `places(X)` then pays only the
+    per-prime step.  `tag` names the field in a report: the conductor, or
+    the tower's repr.
     """
 
     desc: object
@@ -532,6 +534,13 @@ class Field:
             return set(ntheory.primefactors(self.desc))
         return bad_primes(t.m, t.p, (t.datum, *t.pre_steps))
 
+    def places(self, X: int) -> tuple[tuple[int, int, int], ...]:
+        """(q, degree, count) rows, by q then degree, for every prime q <= X
+        off the bad primes; norms q^degree are not cut at X."""
+        bad, profile = self.bad_primes(), self.profile
+        return tuple((q, f, c) for q in ntheory.primerange(2, X + 1)
+                     if q not in bad for f, c in profile(q))
+
     def lies_in(self, other: "Field") -> bool:
         """Whether base change to `other` is supported: Q(zeta_m) into
         Q(zeta_M) for m | M, and any field into a tower."""
@@ -540,24 +549,9 @@ class Field:
 
 
 def place_profile(field_desc, q: int):
-    """All residue degrees over Q above q, as sorted (degree, count) pairs.
-
-    `field_desc` is a `Field` or its description; q must lie outside the
-    field's `bad_primes()`.
-    """
+    """`Field.of(field_desc).profile(q)`: the sorted (degree, count) pairs
+    over Q above q, which must lie outside the field's `bad_primes()`."""
     return Field.of(field_desc).profile(q)
-
-
-def place_table(field_desc, X: int) -> tuple[tuple[int, int, int], ...]:
-    """(q, degree, count) rows for every prime q <= X off the bad primes.
-
-    Rows run by q, then degree; count is the number of places of that
-    residue degree over Q above q.  Norms q^degree are not cut at X.
-    """
-    K = Field.of(field_desc)
-    bad, profile = K.bad_primes(), K.profile
-    return tuple((q, f, c) for q in ntheory.primerange(2, X + 1)
-                 if q not in bad for f, c in profile(q))
 
 
 def norm_subgroup(field_desc, N: int, bound: int = DEFAULT_NORM_BOUND) -> frozenset:
@@ -566,7 +560,7 @@ def norm_subgroup(field_desc, N: int, bound: int = DEFAULT_NORM_BOUND) -> frozen
     `field_desc` is a `Field` or its description.  The cutoff is operational:
     generators are collected from the place table's primes <= bound.
     """
-    gens = {pow(q, f, N) for q, f, _ in place_table(field_desc, bound)
+    gens = {pow(q, f, N) for q, f, _ in Field.of(field_desc).places(bound)
             if N % q}
     group = {1 % N}
     for g in gens:

@@ -482,6 +482,8 @@ def test_negative_data_space_form(argv, flag, value, capsys):
      "--q", "13", "--r", "2"],
     ["split", "density", "--m", "1", "--p", "3", "--alpha", "2",
      "--X", "200"],
+    ["split", "density", "--m", "1", "--p", "2", "--alpha", "4",
+     "--X", "100"],
     ["descent", "plan", "--p", "4", "--r", "2"],
     ["rs", "slope", "--pair", "{equal}", "--exclude", "5", "--X", "1000",
      "--grid", ","],
@@ -501,7 +503,7 @@ def test_negative_data_space_form(argv, flag, value, capsys):
      "--q", "3", "--other", "2:0"],
 ], ids=["unknown", "bare-group", "missing-alpha", "zero-n", "zero-threads",
         "csv-no-rows", "bad-field", "missing-pair", "classify-height",
-        "density-no-mu-p", "plan-composite-p", "grid-empty", "grid-one-point",
+        "density-no-mu-p", "density-square-datum", "plan-composite-p", "grid-empty", "grid-one-point",
         "grid-tie", "slope-cutoff-0", "slope-cutoff-1", "slope-cutoff-neg",
         "slope-cutoff-equal-pair", "other-degree-0", "other-degree-neg",
         "other-count-0"])

@@ -17,6 +17,7 @@ from kummerlab.cyclotomic import (
     _unit_logs,
     _units,
     bad_primes,
+    bad_product,
     cyclo_primes_above,
     cyclotomic_poly_coeffs,
     datum_power_certificate,
@@ -292,6 +293,18 @@ def test_bad_primes_frozen():
     assert bad_primes(1, 2, (Datum.of(Fraction(-10, 21)),)) == {2, 3, 5, 7}
     assert bad_primes(4, 2, (Datum(F4.element((Fraction(1, 5), 1))),)) \
         == {2, 5, 13}
+
+
+def test_bad_product_divisors_are_the_bad_primes():
+    F4, F12 = CycloField(4), CycloField(12)
+    for m, p, data in (
+            (4, 2, (Datum(F4.element((3, 2)), Fraction(5, 7)),)),
+            (4, 2, (Datum(F4.element((Fraction(1, 5), 1))),)),
+            (12, 3, (Datum(F12.element((-3, -3, 1, 1)), 3),
+                     Datum.of(Fraction(-22, 15), m=12))),
+            (1, 2, (Datum.of(Fraction(-10, 21)), Datum.of(-1)))):
+        bad = bad_primes(m, p, data)
+        assert set(sympy.primefactors(bad_product(m, p, data))) == bad
 
 
 def test_pp_lattice_bad_primes_frozen_and_fresh():

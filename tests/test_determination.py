@@ -489,8 +489,8 @@ def _trace_span(tower, N, bound, skip):
         if q in skip or N % q == 0:
             continue
         for P in cyclo_primes_above(tower.m, q):
-            for norm in trace_prime(tower, P).norms(tower.r):
-                gens.add(norm % N)
+            for e, _ in trace_prime(tower, P).places(tower.r):
+                gens.add(pow(q, e, N))
     span = {1 % N}
     frontier = [1 % N]
     while frontier:

@@ -514,6 +514,19 @@ def test_determination_base_changes_only_in_lift():
                          {"base_change"}, "TowerPlan.lift") == []
 
 
+def test_splitting_profiles_never_trace():
+    # one count lists every field's places; the trace is a report of its own
+    assert calls_outside((SRC / "splitting.py").read_text(),
+                         {"trace_prime"}, None) == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_classify_prime_only_in_classify_rational(module):
+    owner = "classify_rational" if module == "splitting.py" else None
+    assert calls_outside((SRC / module).read_text(),
+                         {"classify_prime"}, owner) == []
+
+
 NO_SYMPY_RUN = """
 import json, sys
 from fractions import Fraction

@@ -27,7 +27,6 @@ from kummerlab.splitting import (
     kummer_step,
     norm_subgroup,
     place_profile,
-    place_table,
     trace_prime,
 )
 from kummerlab.finitefield import (
@@ -51,6 +50,12 @@ def _image_keys(trace, level):
                         key=lambda k: (isinstance(k, tuple), k)))
 
 
+def _norms(trace, level):
+    """The norms of the places at a level, one per place."""
+    return tuple(trace.prime.q ** e for e, c in trace.places(level)
+                 for _ in range(c))
+
+
 def _gauss_step():
     F4 = CycloField(4)
     return kummer_step(4, 2, Datum(F4.element((1, 1))))
@@ -67,7 +72,7 @@ def test_trace_split_roots_frozen():
     tr = trace_prime(_gauss_step(), P8)
     assert _image_keys(tr, 1) == (3, 10)       # the two square roots of 9
     assert tr.places(1) == ((1, 2),)
-    assert tr.norms(1) == (13, 13)
+    assert _norms(tr, 1) == (13, 13)
 
 
 _ASSERTS_OFF = """
@@ -223,7 +228,8 @@ def test_inert_certificate_refuses_ramified_and_matches_trace():
                 certified += 1
                 trace = trace_prime(tower, P)
                 for j in range(tower.r + 1):
-                    assert trace.norms(j) == (cert.norms[j],) * cert.branch_count
+                    assert _norms(trace, j) == \
+                        (cert.norms[j],) * cert.branch_count
     assert certified and refused
 
 
@@ -277,7 +283,7 @@ def test_trace_agreement_with_certificate():
     tr = trace_prime(tower, P)
     cert = inert_chain_certificate(tower, P)
     for j in range(3):
-        assert tr.norms(j) == (cert.norms[j],)
+        assert _norms(tr, j) == (cert.norms[j],)
 
 
 def test_trace_ramified_flag():
@@ -394,7 +400,7 @@ def test_degree1_density_frozen():
 
 
 def test_degree1_density_int_path_matches_object_path():
-    # the f = 1 integer fast path must agree with full classification
+    # the count's reading of the places must agree with full classification
     step = _gauss_step()
     rep = degree1_density(step, 300)
     deg1 = total = 0
@@ -412,8 +418,17 @@ def test_degree1_density_int_path_matches_object_path():
     assert (rep.degree1, rep.total) == (deg1, total)
 
 
+def test_degree1_density_of_a_pre_step_tower():
+    # Q(i)(sqrt 2) over Q is Q(zeta_8): the density reads the field's count
+    step = KummerTower(1, 2, 1, Datum.of(2), pre_steps=(Datum.of(-1),))
+    rep = degree1_density(step, 3000)
+    rows = [(q, f, c) for q, f, c in Field(8).places(3000) if q ** f <= 3000]
+    assert (rep.degree1, rep.total) == (
+        sum(c for _, f, c in rows if f == 1), sum(c for _, _, c in rows))
+
+
 def test_place_table_small():
-    places = place_table(4, 50)
+    places = Field(4).places(50)
     assert [q for q, _, _ in places] == list(sympy.primerange(3, 50))
     assert (3, 2, 1) in places and (7, 2, 1) in places
     assert (5, 1, 2) in places and (13, 1, 2) in places
@@ -452,7 +467,7 @@ def _span_by_closure(gens, N):
 def test_norm_subgroup_matches_closure(field):
     # cosets of the group so far, against the breadth-first closure
     for N in (1, 8, 13, 15, 16, 21, 35, 40, 63, 120):
-        gens = {pow(q, f, N) for q, f, _ in place_table(field, 60) if N % q}
+        gens = {pow(q, f, N) for q, f, _ in Field(field).places(60) if N % q}
         assert norm_subgroup(field, N, bound=60) == _span_by_closure(gens, N)
 
 
@@ -624,8 +639,8 @@ def _bare(m, p, r, a, base_is_step=False):
     return KummerTower(m, p, r, Datum.of(a, m=m), base_is_step=base_is_step)
 
 
-# bare towers with a rational datum: their places are counted, not traced
-COUNTED = {
+# bare towers with a rational datum: one reading serves every prime above q
+RATIONAL = {
     "sqrt3": _bare(1, 2, 1, 3), "sqrt-5": _bare(1, 2, 1, -5),
     "quartic3": _bare(4, 2, 2, 3), "quartic-2": _bare(4, 2, 2, -2),
     "2^(1/8)": _bare(1, 2, 3, 2), "3^(1/4)": _bare(1, 2, 1, 3, True),
@@ -640,29 +655,37 @@ COUNTED = {
     "zeta5-quintic": _bare(5, 5, 1, 2), "zeta5-step": _bare(5, 5, 1, 3, True),
     "zeta25-quintic": _bare(25, 5, 1, 2),
 }
-TRACED = {
-    "zeta-p2": KummerTower(4, 2, 2, Datum(CycloField(4).zeta()),
-                           base_is_step=True),
-    "zeta-p3": KummerTower(9, 3, 1, Datum(CycloField(9).zeta()),
-                           base_is_step=True),
-    "gauss": KummerTower(4, 2, 1, Datum(CycloField(4).element((1, 1)))),
+_F3, _F4, _F9 = CycloField(3), CycloField(4), CycloField(9)
+# the core of test_core_power_at_a_degree_2_prime_traces_as_its_cofactor
+_CORE12 = CycloField(12).element((-3, -3, 1, 1))
+# cyclotomic cores, scaled cores, zeta-chains and pre-steps: each prime
+# above q reads its own images
+OTHER = {
+    "zeta-p2": KummerTower(4, 2, 2, Datum(_F4.zeta()), base_is_step=True),
+    "zeta-p3": KummerTower(9, 3, 1, Datum(_F9.zeta()), base_is_step=True),
+    "gauss": KummerTower(4, 2, 1, Datum(_F4.element((1, 1)))),
     "pre-step": KummerTower(4, 2, 2, Datum.of(3, m=4),
                             pre_steps=(Datum.of(5, m=4),)),
-    "Q": 1, "zeta4": 4, "zeta9": 9,
+    "gauss-times-7": KummerTower(4, 2, 2, Datum(_F4.element((1, 1)), 7)),
+    "zeta9-2+z": KummerTower(9, 3, 1, Datum(_F9.element((2, 1)))),
+    "two-pre-steps": KummerTower(1, 2, 2, Datum.of(3),
+                                 pre_steps=(Datum.of(-1), Datum.of(5))),
+    "zeta3-pre-step": KummerTower(3, 3, 2, Datum.of(2, m=3),
+                                  pre_steps=(Datum(_F3.zeta()),)),
+    "zeta12-core-times-3": KummerTower(12, 2, 2, Datum(_CORE12, 3)),
 }
+TOWERS = {**RATIONAL, **OTHER}
+CONDUCTORS = {"Q": 1, "zeta4": 4, "zeta9": 9}
 
 
-@pytest.mark.parametrize("field", [*COUNTED.values(), *TRACED.values()],
-                         ids=[*COUNTED, *TRACED])
+@pytest.mark.parametrize("field", [*TOWERS.values(), *CONDUCTORS.values()],
+                         ids=[*TOWERS, *CONDUCTORS])
 def test_place_profile_matches_trace(field):
     """Closed forms, the count and the place table must agree with the
-    residue trace (with the base primes for a conductor), counts included:
-    a counted tower at every q < 2000 (q < 500 at odd p), the rest at
-    q < 41."""
+    residue trace (with the base primes for a conductor), counts included,
+    at every q < 2000 (q < 500 for a tower at odd p)."""
     bad = Field(field).bad_primes()
-    X = 41
-    if field in COUNTED.values():
-        X = 2000 if field.p == 2 else 500
+    X = 500 if isinstance(field, KummerTower) and field.p != 2 else 2000
     expected = []
     for q in sympy.primerange(2, X):
         if q in bad:
@@ -679,14 +702,14 @@ def test_place_profile_matches_trace(field):
         assert place_profile(field, q) == profile, q
         if q < 41:
             expected += [(q, f, c) for f, c in profile]
-    assert place_table(field, 40) == tuple(expected)
+    assert Field(field).places(40) == tuple(expected)
 
 
 def test_counted_profiles_trace_nothing(monkeypatch):
     def traced(*args):
-        raise AssertionError("a bare rational tower was traced")
+        raise AssertionError("a profile was traced")
     monkeypatch.setattr(splitting, "trace_prime", traced)
-    for t in COUNTED.values():
+    for t in TOWERS.values():
         K = Field(t)
         assert all(K.profile(q) for q in sympy.primerange(2, 200)
                    if q not in K.bad_primes())
@@ -694,13 +717,19 @@ def test_counted_profiles_trace_nothing(monkeypatch):
 
 def test_counted_profile_refuses_bad_primes():
     # the count would answer at a prime of the datum, wrongly: it refuses
-    towers = (*COUNTED.values(), _bare(5, 2, 1, Fraction(14, 3)),
-              _bare(3, 3, 1, 10), _bare(1, 2, 1, Fraction(-11, 7), True))
+    # (the zeta-chains read the closed form of their cyclotomic top)
+    counted = [t for name, t in TOWERS.items()
+               if name not in ("zeta-p2", "zeta-p3")]
+    towers = (*counted, _bare(5, 2, 1, Fraction(14, 3)),
+              _bare(3, 3, 1, 10), _bare(1, 2, 1, Fraction(-11, 7), True),
+              # the core 1+2z has norm 5
+              KummerTower(4, 2, 1, Datum(_F4.element((1, 2)))))
     for t in towers:
         K = Field(t)
         for q in K.bad_primes():
             with pytest.raises(ValueError, match="ramification"):
                 K.profile(q)
+    assert 5 in Field(towers[-1]).bad_primes()
     # with mu_3 missing from F_5 the count refuses as the trace does
     t = _bare(1, 3, 1, 2)
     with pytest.raises(ValueError, match="mu_p missing"):
