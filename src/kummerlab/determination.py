@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import ntheory
 from .automorphic import (
@@ -366,14 +367,16 @@ class AgreementHypothesis:
     rows: tuple[AgreementRow, ...]
     exceptions: tuple[tuple[int, str], ...]
 
+    @cached_property
+    def _witness(self) -> int | None:
+        # the rows are fixed, so the first disagreement is found once
+        return next((r.q for r in self.rows if not r.agree), None)
+
     def holds(self) -> bool:
-        return all(r.agree for r in self.rows)
+        return self.witness() is None
 
     def witness(self) -> int | None:
-        for r in self.rows:
-            if not r.agree:
-                return r.q
-        return None
+        return self._witness
 
     def summary(self) -> dict:
         return {"field": self.field_doc, "X": self.X,

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, field as dfield
 from fractions import Fraction
 
+from . import ntheory
 from .automorphic import IsobaricRep, moduli_lcm, pair_components, ramified_primes
 from .cyclotomic import CycloField, _unit_logs
 from .splitting import Field
@@ -90,6 +91,11 @@ class PrimeSelector:
             raise ValueError("cutoff must be >= 2")
         if self.degrees is not None and not self.degrees:
             raise ValueError("empty degree filter selects nothing forever")
+        if self.degrees is not None and min(self.degrees) < 1:
+            raise ValueError("degrees must be positive")
+        nonprime = sorted(q for q in self.exclude if not ntheory.isprime(q))
+        if nonprime:
+            raise ValueError(f"exclusions must be primes: {nonprime}")
 
     def places(self) -> list:
         """(Nv, q, f) sorted by (Nv, q); one entry per place."""

@@ -359,7 +359,7 @@ def _cyclotomic_places(m: int):
         if not f:
             raise ValueError(f"q = {q} ramifies in conductor {m}")
         return ((f, phi // f),)
-    return profile, frozenset(orders) - {0}
+    return profile, frozenset(orders) - {0}, m
 
 
 def _int_phi_roots(m: int, q: int, ells) -> list[int]:
@@ -461,22 +461,26 @@ def _counted_places(t: KummerTower):
 
 
 def _tower_places(t: KummerTower):
-    """(profile, degrees, D) for the top level of a tower: counted
+    """(profile, degrees, D, period) for the top level of a tower: counted
     (`_counted_places`), but for the chain of roots of zeta_{p^2} over
-    Q(zeta_{p^2}), whose top is Q(zeta_{p^(r+3)}).  Only Q(sqrt D), a bare
-    height-1 quadratic step over Q, knows its degrees, {1, 2}, and D, the
-    squarefree kernel of the datum (a square datum raises); else None."""
+    Q(zeta_{p^2}), whose top is Q(zeta_{p^(r+3)}), of period p^(r+3).
+    Only Q(sqrt D), a bare height-1 quadratic step over Q, knows its
+    degrees, {1, 2}, and D, the squarefree kernel of the datum (a square
+    datum raises); its profile is the Kronecker symbol of D, of period
+    4|D|.  Other towers get None for each: a chain top such as
+    Q(i, 3^(1/8)) is not abelian, so no modulus decides its places."""
     d, bare = t.datum, not t.pre_steps
     if (bare and t.base_is_step and t.m == t.p ** 2 and d.rat == 1
             and d.cyc == d.cyc.field.zeta()):
-        return *_cyclotomic_places(t.p ** (t.r + 3)), None
+        profile, degrees, period = _cyclotomic_places(t.p ** (t.r + 3))
+        return profile, degrees, None, period
     if bare and not t.base_is_step and (t.m, t.p, t.r) == (1, 2, 1):
         a = d.value().as_fraction()
         D = ntheory.squarefree_kernel(a)
         if D == 1:
             raise ValueError(f"trivial quadratic datum {a}: a square in Q")
-        return _counted_places(t), frozenset({1, 2}), D
-    return _counted_places(t), None, None
+        return _counted_places(t), frozenset({1, 2}), D, 4 * abs(D)
+    return _counted_places(t), None, None, None
 
 
 @dataclass(frozen=True)
@@ -488,9 +492,12 @@ class Field:
     `bad_primes()`, from `unit_orders` or, for a tower, one count and no
     trace (`_tower_places`); `degrees`: the residue degrees the field has,
     or None when unknown; `D`: squarefree when the field is Q(sqrt D), else
-    None.  The shape is decided once, here; `places(X)` then pays only the
-    per-prime step.  `tag` names the field in a report: the conductor, or
-    the tower's repr.
+    None; `period`: for an abelian field a modulus n such that `profile(q)`
+    depends only on q mod n off `bad_primes()` (m for Q(zeta_m), p^(r+3)
+    for the zeta_{p^2} chain, 4|D| for the quadratic step Q(sqrt D)), else
+    None.  The shape is decided once, here; `places(X)` then pays one
+    `profile` call per residue class, or per prime when `period` is None.
+    `tag` names the field in a report: the conductor, or the tower's repr.
     """
 
     desc: object
@@ -498,21 +505,23 @@ class Field:
     D: int | None = dfield(init=False, repr=False, compare=False)
     profile: object = dfield(init=False, repr=False, compare=False)
     degrees: frozenset | None = dfield(init=False, repr=False, compare=False)
+    period: int | None = dfield(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if isinstance(self.desc, KummerTower):
             object.__setattr__(self, "tower", self.desc)
-            profile, degrees, D = _tower_places(self.desc)
+            profile, degrees, D, period = _tower_places(self.desc)
         elif type(self.desc) is int and self.desc >= 1:
             object.__setattr__(self, "tower", None)
             D = {3: -3, 4: -1, 6: -3}.get(self.desc)
-            profile, degrees = _cyclotomic_places(self.desc)
+            profile, degrees, period = _cyclotomic_places(self.desc)
         else:
             raise ValueError(f"unsupported field description {self.desc!r}: "
                              "need 1, a conductor m >= 1 or a KummerTower")
         object.__setattr__(self, "D", D)
         object.__setattr__(self, "profile", profile)
         object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "period", period)
 
     @staticmethod
     def of(desc) -> "Field":
@@ -536,8 +545,19 @@ class Field:
 
     def places(self, X: int) -> tuple[tuple[int, int, int], ...]:
         """(q, degree, count) rows, by q then degree, for every prime q <= X
-        off the bad primes; norms q^degree are not cut at X."""
-        bad, profile = self.bad_primes(), self.profile
+        off the bad primes; norms q^degree are not cut at X.  With a
+        `period` n, `profile` is called once per class of q mod n and the
+        class's profile is read for every later q in it (a dict local to
+        the call: no memo outlives it); else once per prime."""
+        bad, profile, n = self.bad_primes(), self.profile, self.period
+        if n is not None:
+            classes: dict[int, tuple] = {}
+
+            def profile(q):
+                r = q % n
+                if r not in classes:
+                    classes[r] = self.profile(q)
+                return classes[r]
         return tuple((q, f, c) for q in ntheory.primerange(2, X + 1)
                      if q not in bad for f, c in profile(q))
 

@@ -407,14 +407,18 @@ def test_theorem_a_golden_reports(pairs, name, K, extra, code, digest,
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_pipeline_workload_digest_frozen(tmp_path):
-    # the benchmark's seed-0 pipeline items (perfbench/workloads.py, only
+@pytest.mark.parametrize("seed,expected", [
+    (0, "e0e18cc998dc824058fc99e101cc78e959900a0cf4faab5475a873784ab94704"),
+    (1, "2ed69b3ea0de54bc05f13f7e056ace106dd97fcb5633bd214d05a4fb7850b2c3"),
+], ids=["seed0", "seed1"])
+def test_pipeline_workload_digest_frozen(tmp_path, seed, expected):
+    # the benchmark's pipeline items at a seed (perfbench/workloads.py, only
     # read here): one sha256 over every item's stdout bytes and exit code
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    items = workloads.Pipeline(0, 100, Counter(), str(tmp_path)).items
+    items = workloads.Pipeline(seed, 100, Counter(), str(tmp_path)).items
     digest = hashlib.sha256()
     for field, path, _, _, _ in items:
         out = io.StringIO()
@@ -422,8 +426,7 @@ def test_pipeline_workload_digest_frozen(tmp_path):
             code = main(["theorem-a", "--K", field, "--pair", path])
         digest.update(out.getvalue().encode())
         digest.update(str(code).encode())
-    assert digest.hexdigest() == \
-        "e0e18cc998dc824058fc99e101cc78e959900a0cf4faab5475a873784ab94704"
+    assert digest.hexdigest() == expected
 
 
 def test_theorem_a_equal_pair_past_twist_bound(tmp_path, capsys):
@@ -501,16 +504,27 @@ def test_negative_data_space_form(argv, flag, value, capsys):
      "--q", "3", "--other=-2:3"],
     ["lemma", "45", "--m", "4", "--p", "2", "--r", "2", "--alpha", "1+z",
      "--q", "3", "--other", "2:0"],
+    ["rs", "coeffs", "--pair", "{rational}", "--X", "30", "--M", "12",
+     "--exclude", "2", "--degrees", "0"],
+    ["rs", "slope", "--pair", "{equal}", "--X", "1000", "--exclude", "5",
+     "--degrees=-1"],
+    ["rs", "positivity", "--pair", "{rational}", "--X", "30", "--M", "12",
+     "--exclude", "2,4"],
+    ["rs", "coeffs", "--pair", "{rational}", "--X", "30", "--M", "12",
+     "--exclude", "0,2"],
+    ["rs", "slope", "--pair", "{equal}", "--X", "1000", "--exclude=-3,5"],
 ], ids=["unknown", "bare-group", "missing-alpha", "zero-n", "zero-threads",
         "csv-no-rows", "bad-field", "missing-pair", "classify-height",
         "density-no-mu-p", "density-square-datum", "plan-composite-p", "grid-empty", "grid-one-point",
         "grid-tie", "slope-cutoff-0", "slope-cutoff-1", "slope-cutoff-neg",
         "slope-cutoff-equal-pair", "other-degree-0", "other-degree-neg",
-        "other-count-0"])
+        "other-count-0", "rs-degree-0", "rs-degree-neg", "rs-exclude-4",
+        "rs-exclude-0", "rs-exclude-neg"])
 def test_invalid_parameters_exit_64(argv, pairs, capsys):
     # a slope grid needs two strictly decreasing points, a slope cutoff is
-    # refused below 2 whatever the pair, and folded degrees and counts
-    # start at 1; each is refused before anything is printed
+    # refused below 2 whatever the pair, folded degrees and counts start at
+    # 1, and a place filter takes degrees >= 1 and excludes only primes;
+    # each is refused before anything is printed
     code, out = run([a.format(**pairs) for a in argv], capsys)
     assert (code, out) == (64, "")
 

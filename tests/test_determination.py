@@ -21,6 +21,8 @@ from kummerlab.cyclotomic import (CycloField, Datum, cyclo_primes_above,
                                   unit_orders)
 from kummerlab.determination import (
     EXIT_CODES,
+    AgreementHypothesis,
+    AgreementRow,
     _inert_rational_primes,
     _peel,
     build_L,
@@ -397,6 +399,21 @@ def test_check_agreement_witness_and_stop():
     hyp = check_agreement(pi, pi2, 100)
     assert not hyp.holds() and hyp.witness() == 5
     assert (3, "ramified") in hyp.exceptions
+
+
+@pytest.mark.parametrize("agrees,witness", [
+    ((True, True, True), None),
+    ((True, False, True, False), 5),
+    ((), None),
+], ids=["agreeing", "disagreeing", "empty"])
+def test_hypothesis_holds_iff_no_witness(agrees, witness):
+    rows = tuple(AgreementRow(q, q, 1, a)
+                 for q, a in zip((3, 5, 7, 11), agrees))
+    hyp = AgreementHypothesis("1", 20, (1,), rows, ())
+    assert hyp.witness() == witness
+    assert hyp.holds() == (hyp.witness() is None) == (witness is None)
+    assert hyp.summary()["holds"] == hyp.holds()
+    assert hyp.summary()["witness"] == witness
 
 
 def test_check_agreement_degrees_and_exclusions():

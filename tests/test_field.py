@@ -197,3 +197,49 @@ def test_from_json_of_a_tower_tagged_rep():
         IsobaricRep.from_json(doc)
     back = IsobaricRep.from_json(doc, field=K3)
     assert back == pi and back.to_json() == doc
+
+
+# ---------------------------------------------------------------------------
+# the period: `profile` is read once per residue class
+
+def _zeta_chain(m, p, r):
+    return KummerTower(m, p, r, Datum(CycloField(m).zeta()), base_is_step=True)
+
+
+PERIODIC = {
+    **{f"zeta{m}": (m, m) for m in (1, 3, 4, 5, 8, 12, 16, 20, 24)},
+    **{f"sqrt{a}": (KummerTower(1, 2, 1, Datum.of(Fraction(a))),
+                    4 * abs(ntheory.squarefree_kernel(Fraction(a))))
+       for a in (-15, -7, -4, -3, -1, 2, 3, 5, 6, 7, 10, 12, "3/5", "8/27")},
+    **{f"zeta4-chain-r{r}": (_zeta_chain(4, 2, r), 2 ** (r + 3))
+       for r in (1, 2)},
+    "zeta9-chain": (_zeta_chain(9, 3, 1), 3 ** 4),
+}
+
+
+@pytest.mark.parametrize("desc,period", PERIODIC.values(), ids=PERIODIC.keys())
+def test_profile_depends_only_on_the_class_mod_period(desc, period):
+    K = Field(desc)
+    assert K.period == period
+    bad, seen = K.bad_primes(), {}
+    for q in ntheory.primerange(2, 5000):
+        if q not in bad:
+            assert seen.setdefault(q % period, K.profile(q)) == K.profile(q), q
+
+
+@pytest.mark.parametrize("desc", [d for d, _ in PERIODIC.values()]
+                         + [KummerTower(4, 2, 2, Datum.of(3, m=4))],
+                         ids=[*PERIODIC.keys(), "quartic3"])
+def test_places_match_the_prime_walk(desc):
+    K = Field(desc)
+    bad = K.bad_primes()
+    for X in (1, 2, 3, 100, 5000):
+        assert K.places(X) == tuple(
+            (q, f, c) for q in ntheory.primerange(2, X + 1) if q not in bad
+            for f, c in K.profile(q)), X
+
+
+@pytest.mark.parametrize("r", [3, 4])
+def test_chain_tops_have_no_period(r):
+    # Q(i, 3^(1/2^r)) is not abelian: its places follow no modulus
+    assert Field(KummerTower(4, 2, r, Datum.of(3, m=4))).period is None

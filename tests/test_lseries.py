@@ -111,6 +111,12 @@ def test_selector_validation():
         PrimeSelector(1, 1)
     with pytest.raises(ValueError):
         PrimeSelector(1, 10, degrees=frozenset())
+    for degrees in ({0}, {-1}, {0, 1}):
+        with pytest.raises(ValueError, match="degrees must be positive"):
+            PrimeSelector(1, 10, degrees=frozenset(degrees))
+    for exclude in ({4}, {0}, {-3}, {2, 9}):
+        with pytest.raises(ValueError, match="exclusions must be primes"):
+            PrimeSelector(1, 10, exclude=frozenset(exclude))
 
 
 @given(st.integers(10, 120))
